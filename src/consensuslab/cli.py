@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -76,43 +76,21 @@ def _parse_x0(text: str):
 
 def _merge_params(params: RunParams, args: argparse.Namespace) -> RunParams:
     """Flags win over the config's simulation block."""
-    for attr, flag in (
-        ("paths", "paths"),
-        ("horizon", "horizon"),
-        ("eps", "eps"),
-        ("seed", "seed"),
-        ("p", "p"),
-        ("mc_samples", "mc_samples"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(params, attr, value)
+    overrides = {
+        name: getattr(args, name)
+        for name in ("paths", "horizon", "eps", "seed", "p", "mc_samples")
+        if getattr(args, name, None) is not None
+    }
     x0 = getattr(args, "x0", None)
     if x0 is not None:
-        params.x0 = _parse_x0(x0)
-    if params.paths < 1:
-        raise ConfigError("--paths must be >= 1")
-    if params.horizon < 1:
-        raise ConfigError("--horizon must be >= 1")
-    if params.eps <= 0:
-        raise ConfigError("--eps must be > 0")
-    if params.p < 1:
-        raise ConfigError("--p must be >= 1")
-    return params
+        overrides["x0"] = _parse_x0(x0)
+    return replace(params, **overrides)
 
 
 def _manifest(command: str, args: argparse.Namespace, params: RunParams) -> RunManifest:
     return RunManifest(
         command=command,
-        parameters={
-            "seed": params.seed,
-            "paths": params.paths,
-            "horizon": params.horizon,
-            "eps": params.eps,
-            "p": params.p,
-            "mc_samples": params.mc_samples,
-            "x0": params.x0,
-        },
+        parameters=asdict(params),
         config_digest=_config_digest(args.config),
         version=__version__,
     )

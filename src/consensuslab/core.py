@@ -8,8 +8,9 @@ mixture of atoms ("finite"), or a named parametric generator ("generator").
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -329,9 +330,14 @@ class RngPolicy:
 # --- configuration ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunParams:
-    """Simulation defaults, overridable by CLI flags."""
+    """Simulation defaults, overridable by CLI flags.
+
+    Every field but ``x0`` is coerced with ``int()``/``float()`` and range
+    checked on construction, so config values and flag overrides (applied
+    with ``dataclasses.replace``) pass the same checks.
+    """
 
     paths: int = 200
     horizon: int = 300
@@ -340,6 +346,29 @@ class RunParams:
     x0: Union[str, list] = "uniform01"
     p: float = 1.0
     mc_samples: int = 10000
+
+    def __post_init__(self) -> None:
+        for name in ("paths", "horizon", "seed", "mc_samples"):
+            self._coerce(name, int)
+        for name in ("eps", "p"):
+            self._coerce(name, float)
+        if self.paths < 1:
+            raise ConfigError(f"paths must be >= 1, got {self.paths}")
+        if self.horizon < 1:
+            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps!r}")
+        if not 1 <= self.p < math.inf:
+            raise ConfigError(f"p must be finite and >= 1, got {self.p!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    def _coerce(self, name: str, kind: type) -> None:
+        raw = getattr(self, name)
+        try:
+            object.__setattr__(self, name, kind(raw))
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{name} must be a number, got {raw!r}") from None
 
 
 def distribution_from_config(doc: dict) -> MatrixDistribution:
@@ -402,36 +431,14 @@ def load_config(source: Union[str, os.PathLike, dict]) -> tuple[MatrixDistributi
 
     dist = distribution_from_config(doc)
 
-    params = RunParams()
     sim = doc.get("simulation", {})
     if not isinstance(sim, dict):
         raise ConfigError("'simulation' must be an object")
+    known = {f.name for f in fields(RunParams)}
     for key in sim:
-        if key not in ("paths", "horizon", "eps", "seed", "x0", "p", "mc_samples"):
+        if key not in known:
             raise ConfigError(f"unknown simulation field {key!r}")
-    if "paths" in sim:
-        params.paths = int(sim["paths"])
-    if "horizon" in sim:
-        params.horizon = int(sim["horizon"])
-    if "eps" in sim:
-        params.eps = float(sim["eps"])
-    if "seed" in sim:
-        params.seed = int(sim["seed"])
-    if "p" in sim:
-        params.p = float(sim["p"])
-    if "mc_samples" in sim:
-        params.mc_samples = int(sim["mc_samples"])
-    if "x0" in sim:
-        params.x0 = sim["x0"]
-    if params.paths < 1:
-        raise ConfigError("simulation.paths must be >= 1")
-    if params.horizon < 1:
-        raise ConfigError("simulation.horizon must be >= 1")
-    if params.eps <= 0:
-        raise ConfigError("simulation.eps must be > 0")
-    if params.p < 1:
-        raise ConfigError("simulation.p must be >= 1")
-    return dist, params
+    return dist, RunParams(**sim)
 
 
 def resolve_x0(x0: Union[str, Sequence[float], np.ndarray], n: int, policy: RngPolicy) -> np.ndarray:

@@ -11,14 +11,12 @@ consistent for the definitional limits.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Optional, Sequence
 
 import numpy as np
 
 from .core import MatrixDistribution, RngPolicy, sample
-from .projection import diameter, disagreement, make_projections
 from .spectral import NumericalError
 
 MONOTONICITY_SLACK = 1e-12
@@ -75,14 +73,17 @@ class ModeReport:
         }
 
 
-def simulate_path(
+def simulate_paths(
     dist: MatrixDistribution,
     x0: np.ndarray,
     horizon: int,
-    rng: np.random.Generator,
-    path_id: int = 0,
-) -> TrajectoryRecord:
-    """Iterate the network with a fresh i.i.d. draw per step.
+    rngs: Sequence[np.random.Generator],
+    path_ids: Sequence[int],
+) -> list[TrajectoryRecord]:
+    """Iterate the network on every path at once, one i.i.d. draw per path and step.
+
+    Path k draws only from ``rngs[k]``, one ``sample`` call per step, so its
+    record does not depend on which other paths run alongside it.
 
     The diameter is checked for monotone decrease at every step (1e-12
     slack for floating-point reassociation); a violation means a broken
@@ -91,46 +92,69 @@ def simulate_path(
     coordinate mean toward one extreme and push the other further from it);
     it is monotone when the support is doubly stochastic, which tests
     assert where it applies.  The norm is always bounded by the diameter,
-    which is checked here instead.
+    which is checked here instead.  A diagnostic that overflows to a
+    non-finite value raises too.
     """
     x0 = np.asarray(x0, dtype=float)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if x0.shape != (dist.n,):
         raise ValueError(f"x0 must have length {dist.n}, got shape {x0.shape}")
-    proj = make_projections(dist.n)
-    diam = np.empty(horizon + 1)
-    dis_inf = np.empty(horizon + 1)
-    dis_l2 = np.empty(horizon + 1)
-    x = x0.copy()
-    for t in range(horizon + 1):
-        if t > 0:
-            a = sample(dist, rng)
-            x = a.entries @ x
-        d = disagreement(x, proj)
-        diam[t] = diameter(x)
-        dis_inf[t] = float(np.abs(d).max())
-        dis_l2[t] = float(np.linalg.norm(d))
-        if t > 0:
-            if diam[t] > diam[t - 1] + MONOTONICITY_SLACK:
-                raise NumericalError(
-                    f"diameter increased at t={t} on path {path_id}: "
-                    f"{diam[t - 1]!r} -> {diam[t]!r}"
-                )
-            if dis_inf[t] > diam[t] + 1e-9:
-                raise NumericalError(
-                    f"disagreement max-norm exceeds diameter at t={t} on path {path_id}"
-                )
-    for arr in (diam, dis_inf, dis_l2):
-        arr.setflags(write=False)
-    return TrajectoryRecord(
-        path_id=path_id,
-        x0=x0,
-        diameter=diam,
-        disagreement_inf=dis_inf,
-        disagreement_l2=dis_l2,
-        final_state=x,
-    )
+    x = np.tile(x0, (len(rngs), 1))
+    series = np.empty((3, len(rngs), horizon + 1))
+    diam, dis_inf, dis_l2 = series
+    # overflow is reported by _check_series as a NumericalError instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon + 1):
+            if t > 0:
+                for k, rng in enumerate(rngs):
+                    x[k] = sample(dist, rng).entries @ x[k]
+            d = x - x.mean(axis=1, keepdims=True)
+            diam[:, t] = x.max(axis=1) - x.min(axis=1)
+            dis_inf[:, t] = np.abs(d).max(axis=1)
+            # vecdot is the BLAS dot np.linalg.norm uses on one vector
+            dis_l2[:, t] = np.sqrt(np.vecdot(d, d))
+    _check_series(series, path_ids)
+    series.setflags(write=False)
+    return [
+        TrajectoryRecord(
+            path_id=path_id,
+            x0=x0,
+            diameter=diam[k],
+            disagreement_inf=dis_inf[k],
+            disagreement_l2=dis_l2[k],
+            final_state=x[k].copy(),
+        )
+        for k, path_id in enumerate(path_ids)
+    ]
+
+
+def _check_series(series: np.ndarray, path_ids: Sequence[int]) -> None:
+    """Raise on the first failing t of the first failing path."""
+    diam, dis_inf, _ = series
+    ok = np.isfinite(series).all(axis=0)
+    ok[:, 1:] &= diam[:, 1:] <= diam[:, :-1] + MONOTONICITY_SLACK
+    ok[:, 1:] &= dis_inf[:, 1:] <= diam[:, 1:] + 1e-9
+    if ok.all():
+        return
+    k, t = np.unravel_index(np.argmin(ok), ok.shape)
+    where = f"at t={t} on path {path_ids[k]}"
+    if not np.isfinite(series[:, k, t]).all():
+        raise NumericalError(f"non-finite diameter or disagreement norm {where}")
+    if diam[k, t] > diam[k, t - 1] + MONOTONICITY_SLACK:
+        raise NumericalError(f"diameter increased {where}: {diam[k, t - 1]!r} -> {diam[k, t]!r}")
+    raise NumericalError(f"disagreement max-norm exceeds diameter {where}")
+
+
+def simulate_path(
+    dist: MatrixDistribution,
+    x0: np.ndarray,
+    horizon: int,
+    rng: np.random.Generator,
+    path_id: int = 0,
+) -> TrajectoryRecord:
+    """One path of :func:`simulate_paths`."""
+    return simulate_paths(dist, x0, horizon, [rng], [path_id])[0]
 
 
 def run_paths(
@@ -141,21 +165,16 @@ def run_paths(
     policy: RngPolicy,
     threads: int = 1,
 ) -> list[TrajectoryRecord]:
-    """Simulate independent paths on per-path derived streams.
+    """Simulate independent paths, path k on ``policy.path_stream(k)``.
 
-    Results are identical for any thread count: stream k depends only on
-    (master_seed, k) and the output list is ordered by path index.
+    Stream k depends only on (master_seed, k), so the results are fixed by
+    the seed.  ``threads`` is accepted and has no effect: the work holds the
+    interpreter lock, so threads made it no faster.
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
-
-    def one(k: int) -> TrajectoryRecord:
-        return simulate_path(dist, x0, horizon, policy.path_stream(k), path_id=k)
-
-    if threads <= 1:
-        return [one(k) for k in range(paths)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(paths)))
+    rngs = [policy.path_stream(k) for k in range(paths)]
+    return simulate_paths(dist, x0, horizon, rngs, range(paths))
 
 
 def summarize_modes(
@@ -262,17 +281,13 @@ def write_path_csv(records: Sequence[TrajectoryRecord], fh: IO[str]) -> None:
 def write_aggregate_csv(
     records: Sequence[TrajectoryRecord], eps: float, p: float, fh: IO[str]
 ) -> None:
+    report = summarize_modes(records, eps, p)
+    diam = np.stack([r.diameter for r in records])
+    curves = zip(diam.mean(axis=0), report.prob_curve, diam.max(axis=0), report.lp_curve)
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(AGGREGATE_CSV_COLUMNS)
-    diam = np.stack([r.diameter for r in records])
-    mean_curve = diam.mean(axis=0)
-    exceed = (diam > eps).mean(axis=0)
-    max_curve = diam.max(axis=0)
-    lp_curve = (diam ** p).mean(axis=0)
-    for t in range(diam.shape[1]):
-        writer.writerow(
-            (t, _fmt(mean_curve[t]), _fmt(exceed[t]), _fmt(max_curve[t]), _fmt(lp_curve[t]))
-        )
+    for t, row in enumerate(curves):
+        writer.writerow((t, *map(_fmt, row)))
 
 
 def paths_as_json(records: Sequence[TrajectoryRecord]) -> list[dict]:

@@ -130,6 +130,26 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", gossip_config, "--out", str(blocker)]) == 4
 
 
+@pytest.mark.parametrize(
+    "simulation, flags, code",
+    [
+        pytest.param({"paths": "abc"}, [], 2, id="paths_not_a_number"),
+        pytest.param({}, ["--seed", "-1"], 2, id="negative_seed"),
+        pytest.param({"eps": float("nan")}, [], 2, id="eps_nan"),
+        pytest.param({}, ["--p", "nan"], 2, id="p_nan"),
+        pytest.param({}, ["--x0", "1e308,-1e308,0"], 3, id="diameter_overflow"),
+        pytest.param({}, ["--x0", "1e200,0,0"], 3, id="l2_norm_overflow"),
+    ],
+)
+def test_bad_run_input_exits_without_traceback(simulation, flags, code, tmp_path, capsys):
+    doc = dict(GOSSIP_CONFIG, simulation={**GOSSIP_CONFIG["simulation"], **simulation})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")] + flags) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestModesCommand:
     def test_gossip_all_converged(self, gossip_config, capsys):
         assert main(["modes", "--config", gossip_config, "--paths", "100",

@@ -5,6 +5,7 @@ import pytest
 
 from consensuslab import (
     MatrixDistribution,
+    lift_second_order,
     RngPolicy,
     estimate_modes,
     run_paths,
@@ -119,6 +120,39 @@ class TestEstimateModes:
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.diameter, b.diameter)
             assert np.array_equal(a.final_state, b.final_state)
+
+
+def _per_stream_cases():
+    rng = np.random.default_rng(4)
+    gossip3 = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
+    dirichlet3 = MatrixDistribution.generator("dirichlet_rows", {"n": 3, "alpha": 1.0})
+    return {
+        "dirac": MatrixDistribution.dirac(validate_matrix(random_stochastic(rng, 4))),
+        "finite": MatrixDistribution.finite(
+            [(p, validate_matrix(random_stochastic(rng, 5))) for p in (0.2, 0.3, 0.5)]
+        ),
+        "pairwise_gossip_n10": MatrixDistribution.generator("pairwise_gossip", {"n": 10}),
+        "dirichlet_rows": MatrixDistribution.generator("dirichlet_rows", {"n": 4, "alpha": 0.7}),
+        "lazy_permutation": MatrixDistribution.generator(
+            "lazy_permutation", {"n": 5, "hold_prob": 0.3}
+        ),
+        "lifted_pair": lift_second_order(0.4, 0.6, gossip3, dirichlet3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_per_stream_cases()))
+def test_run_paths_equals_one_path_per_stream(name):
+    # path k's record depends on its own stream only: no draw is shared
+    # with, or reordered across, the other paths of the ensemble
+    dist = _per_stream_cases()[name]
+    x0 = np.linspace(-1.0, 2.0, dist.n)
+    policy = RngPolicy(31)
+    records = run_paths(dist, x0, 6, 15, policy)
+    for k, rec in enumerate(records):
+        alone = simulate_path(dist, x0, 15, policy.path_stream(k), path_id=k)
+        assert rec.path_id == alone.path_id == k
+        for field in ("diameter", "disagreement_inf", "disagreement_l2", "final_state"):
+            assert np.array_equal(getattr(rec, field), getattr(alone, field)), (k, field)
 
 
 class TestShiftInvariance:
