@@ -25,12 +25,13 @@ from .core import (
     MatrixDistribution,
     RngPolicy,
     StochasticMatrix,
+    block_slices,
     companion_block,
-    sample,
+    draw_block,
     validate_matrix,
 )
 from .dynamics import ModeReport, estimate_modes
-from .spectral import VERDICT_TOL, classify, second_eigenvalue_modulus
+from .spectral import VERDICT_TOL, check_eigen_dimension, classify, second_eigenvalue_modulus
 
 MIN_MC_SAMPLES = 1000
 BOOTSTRAP_RESAMPLES = 200
@@ -94,7 +95,9 @@ def expected_matrix(
         )
     if rng is None:
         raise ConfigError("generator expectation needs an RNG")
-    draws = np.stack([sample(dist, rng).entries for _ in range(mc_samples)])
+    draws = np.empty((mc_samples, dist.n, dist.n))
+    for sl in block_slices(mc_samples, dist.n):
+        draw_block(dist, [rng] * (sl.stop - sl.start), draws[sl])
     mean = draws.mean(axis=0)
     se = float(draws.std(axis=0, ddof=1).max() / np.sqrt(mc_samples))
     return ExpectedMatrix(
@@ -137,6 +140,7 @@ def random_verdict(
     tol: float = VERDICT_TOL,
 ) -> ConsensusVerdict:
     """Spectral consensus decision from the (possibly estimated) expectation."""
+    check_eigen_dimension(dist.n)  # before the Monte Carlo draws, which grow with n^2
     em = expected_matrix(dist, mc_samples=mc_samples, rng=rng)
     lam2 = second_eigenvalue_modulus(em.matrix)
     if em.exact:
@@ -201,9 +205,9 @@ def lift_second_order(
     inputs are lifted by enumerating the independent product support;
     generator inputs fall back to joint sampling.
     """
-    if alpha < 0 or beta < 0:
+    if not (alpha >= 0 and beta >= 0):
         raise ConfigError(f"weights must be nonnegative, got alpha={alpha!r}, beta={beta!r}")
-    if abs(alpha + beta - 1.0) > 1e-12:
+    if not abs(alpha + beta - 1.0) <= 1e-12:
         raise ConfigError(f"weights must sum to 1, got {alpha!r} + {beta!r} = {alpha + beta!r}")
     if dist_a.n != dist_b.n:
         raise ConfigError(f"dimension mismatch: {dist_a.n} vs {dist_b.n}")

@@ -33,7 +33,12 @@ from .dynamics import (
     write_aggregate_csv,
     write_path_csv,
 )
-from .spectral import NumericalError, deterministic_verdict, second_eigenvalue_modulus
+from .spectral import (
+    NumericalError,
+    check_eigen_dimension,
+    deterministic_verdict,
+    second_eigenvalue_modulus,
+)
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
@@ -157,6 +162,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_modes(args: argparse.Namespace) -> int:
     dist, params = load_config(args.config)
     params = _merge_params(params, args)
+    check_eigen_dimension(dist.n)  # the verdict's limit, checked before the simulation
     policy = RngPolicy(params.seed)
     x0 = resolve_x0(params.x0, dist.n, policy)
     records = run_paths(dist, x0, params.paths, params.horizon, policy, threads=args.threads)

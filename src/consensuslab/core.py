@@ -54,37 +54,54 @@ class StochasticMatrix:
 
 
 def validate_matrix(raw: Any) -> StochasticMatrix:
-    """Check an array against the stochastic-matrix invariants.
+    """Check one array against the stochastic-matrix invariants.
 
-    Entries in [-1e-12, 0) are clamped to zero; anything more negative is an
-    error.  Row sums must already be 1 within 1e-9 -- rows are never
-    renormalized, a bad row sum is a config bug the caller must see.
+    The one-matrix case of :func:`validate_block`: same checks, same
+    messages.  Entries in [-1e-12, 0) are clamped to zero; anything more
+    negative is an error.  Row sums must already be 1 within 1e-9 -- rows
+    are never renormalized, a bad row sum is a config bug the caller must
+    see.
     """
     arr = np.array(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MatrixValidationError(
             f"matrix must be square, got shape {arr.shape}"
         )
-    n = arr.shape[0]
-    if n < 1:
+    if arr.shape[0] < 1:
         raise MatrixValidationError("matrix dimension must be >= 1")
-    if not np.all(np.isfinite(arr)):
-        raise MatrixValidationError("matrix has non-finite entries")
-    if np.any(arr < -NEGATIVE_ENTRY_TOL):
-        i, j = np.unravel_index(np.argmin(arr), arr.shape)
-        raise MatrixValidationError(
-            f"negative entry {arr[i, j]!r} at ({i},{j}) below tolerance"
-        )
-    arr[(arr < 0.0)] = 0.0
-    row_sums = arr.sum(axis=1)
-    bad = np.abs(row_sums - 1.0) > ROW_SUM_TOL
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise MatrixValidationError(
-            f"row {i} sums to {row_sums[i]!r}, expected 1 within {ROW_SUM_TOL}"
-        )
+    validate_block(arr[None])
     arr.setflags(write=False)
     return StochasticMatrix(entries=arr)
+
+
+def validate_block(block: np.ndarray) -> None:
+    """Check a (count, n, n) float block of matrices in place.
+
+    Clamps entries in [-1e-12, 0) to zero.  On failure the error is the
+    one :func:`validate_matrix` gives for the first failing matrix: its
+    first non-finite, too-negative or bad-row-sum finding, in that order.
+    """
+    finite = np.isfinite(block).all(axis=(1, 2))
+    negative = (block < -NEGATIVE_ENTRY_TOL).any(axis=(1, 2))
+    block[block < 0.0] = 0.0
+    row_sums = block.sum(axis=2)
+    bad_rows = np.abs(row_sums - 1.0) > ROW_SUM_TOL
+    bad = ~finite | negative | bad_rows.any(axis=1)
+    if not bad.any():
+        return
+    d = int(np.argmax(bad))
+    if not finite[d]:
+        raise MatrixValidationError("matrix has non-finite entries")
+    if negative[d]:
+        # the clamp left every entry below the tolerance as it was
+        i, j = np.unravel_index(np.argmin(block[d]), block.shape[1:])
+        raise MatrixValidationError(
+            f"negative entry {block[d, i, j]!r} at ({i},{j}) below tolerance"
+        )
+    i = int(np.argmax(bad_rows[d]))
+    raise MatrixValidationError(
+        f"row {i} sums to {row_sums[d, i]!r}, expected 1 within {ROW_SUM_TOL}"
+    )
 
 
 # --- parametric generators -------------------------------------------------
@@ -172,9 +189,9 @@ def _lifted_pair(params: dict):
     for key in ("alpha", "beta", "dist_a", "dist_b"):
         if key not in params:
             raise ConfigError(f"generator params missing {key!r}")
-    alpha = float(params["alpha"])
-    beta = float(params["beta"])
-    if alpha < 0 or beta < 0 or abs(alpha + beta - 1.0) > 1e-12:
+    alpha = _number(float, "generator param 'alpha'", params["alpha"])
+    beta = _number(float, "generator param 'beta'", params["beta"])
+    if not (alpha >= 0 and beta >= 0 and abs(alpha + beta - 1.0) <= 1e-12):
         raise ConfigError(
             f"lifted weights must be nonnegative and sum to 1, got {alpha!r} + {beta!r}"
         )
@@ -230,6 +247,8 @@ class MatrixDistribution:
         if not atoms:
             raise ConfigError("finite distribution needs at least one atom")
         probs = np.array([p for p, _ in atoms], dtype=float)
+        if not np.all(np.isfinite(probs)):
+            raise ConfigError(f"atom probabilities must be finite, got {probs.tolist()}")
         if np.any(probs < 0):
             raise ConfigError(f"atom probabilities must be nonnegative, got {probs.tolist()}")
         total = probs.sum()
@@ -265,14 +284,30 @@ class MatrixDistribution:
         return {"type": "generator", "name": self.name, "params": self.params}
 
 
-def _pick_atom(probs: Sequence[float], u: float) -> int:
-    """Inverse-CDF selection: smallest k with u < cumulative prob through k."""
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return k
-    return len(probs) - 1  # u landed in the rounding gap at the top
+def pick_atoms(probs: Sequence[float], u: Union[float, np.ndarray]) -> Union[int, np.ndarray]:
+    """Inverse-CDF selection: for each uniform, the smallest k with u < cumulative prob through k.
+
+    A uniform in the rounding gap above the last cumulative prob picks the
+    last atom.  ``probs`` must be finite and nonnegative, so the cumulative
+    sum is nondecreasing.
+    """
+    cumulative = np.cumsum(probs)
+    return np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+
+
+def _generator_draw(dist: MatrixDistribution, rng: np.random.Generator) -> np.ndarray:
+    """One raw, unvalidated draw of a generator, as an n x n float array."""
+    try:
+        raw = np.asarray(dist._draw(rng), dtype=float)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise ConfigError(f"generator {dist.name!r} failed: {exc}") from exc
+    if raw.shape != (dist.n, dist.n):
+        raise MatrixValidationError(
+            f"generator {dist.name!r} drew shape {raw.shape}, expected {(dist.n, dist.n)}"
+        )
+    return raw
 
 
 def sample(dist: MatrixDistribution, rng: np.random.Generator) -> StochasticMatrix:
@@ -280,15 +315,37 @@ def sample(dist: MatrixDistribution, rng: np.random.Generator) -> StochasticMatr
     if dist.kind == "dirac":
         return dist.matrix
     if dist.kind == "finite":
-        k = _pick_atom([p for p, _ in dist.atoms], rng.random())
-        return dist.atoms[k][1]
-    try:
-        raw = dist._draw(rng)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"generator {dist.name!r} failed: {exc}") from exc
-    return validate_matrix(raw)
+        k = pick_atoms([p for p, _ in dist.atoms], rng.random())
+        return dist.atoms[int(k)][1]
+    return validate_matrix(_generator_draw(dist, rng))
+
+
+# Cap on the bytes of one block of drawn n x n matrices: the engine and the
+# Monte Carlo expectation draw, validate and apply matrices a block at a time.
+BLOCK_BYTES = 1 << 22
+
+
+def block_slices(count: int, n: int) -> list[slice]:
+    """Consecutive slices of range(count) whose (len, n, n) float blocks fit BLOCK_BYTES."""
+    step = max(1, BLOCK_BYTES // (8 * n * n))
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
+
+
+def draw_block(
+    dist: MatrixDistribution, rngs: Sequence[np.random.Generator], out: np.ndarray
+) -> None:
+    """Fill ``out[j]`` with one draw of generator ``dist`` from ``rngs[j]``; validate the block.
+
+    The draws are made in order and checked by :func:`validate_block`, so
+    the error raised is the one one-by-one :func:`sample` calls would give.
+    """
+    for j, rng in enumerate(rngs):
+        try:
+            out[j] = _generator_draw(dist, rng)
+        except ConfigError:
+            validate_block(out[:j])  # an earlier bad draw is reported first
+            raise
+    validate_block(out)
 
 
 # --- seeded stream derivation ----------------------------------------------
@@ -349,9 +406,9 @@ class RunParams:
 
     def __post_init__(self) -> None:
         for name in ("paths", "horizon", "seed", "mc_samples"):
-            self._coerce(name, int)
+            object.__setattr__(self, name, _number(int, name, getattr(self, name)))
         for name in ("eps", "p"):
-            self._coerce(name, float)
+            object.__setattr__(self, name, _number(float, name, getattr(self, name)))
         if self.paths < 1:
             raise ConfigError(f"paths must be >= 1, got {self.paths}")
         if self.horizon < 1:
@@ -363,12 +420,13 @@ class RunParams:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
-    def _coerce(self, name: str, kind: type) -> None:
-        raw = getattr(self, name)
-        try:
-            object.__setattr__(self, name, kind(raw))
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{name} must be a number, got {raw!r}") from None
+
+def _number(kind: type, name: str, raw: Any):
+    """``kind(raw)`` for a config value, or a ConfigError naming it."""
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {raw!r}") from None
 
 
 def distribution_from_config(doc: dict) -> MatrixDistribution:
@@ -393,7 +451,9 @@ def distribution_from_config(doc: dict) -> MatrixDistribution:
             if not isinstance(atom, dict) or "prob" not in atom or "matrix" not in atom:
                 raise ConfigError(f"atom {idx} must be an object with 'prob' and 'matrix'")
             try:
-                atoms.append((float(atom["prob"]), validate_matrix(atom["matrix"])))
+                atoms.append(
+                    (_number(float, f"atom {idx} prob", atom["prob"]), validate_matrix(atom["matrix"]))
+                )
             except MatrixValidationError as exc:
                 raise ConfigError(f"atom {idx}: {exc}") from exc
         probs_total = sum(p for p, _ in atoms)
@@ -406,7 +466,7 @@ def distribution_from_config(doc: dict) -> MatrixDistribution:
         dist = MatrixDistribution.generator(spec["name"], spec.get("params", {}))
     else:
         raise ConfigError(f"unknown distribution type {kind!r}")
-    if "n" in doc and int(doc["n"]) != dist.n:
+    if "n" in doc and _number(int, "config field n", doc["n"]) != dist.n:
         raise ConfigError(f"config field n={doc['n']} disagrees with distribution dimension {dist.n}")
     return dist
 

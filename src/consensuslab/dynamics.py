@@ -16,7 +16,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from .core import MatrixDistribution, RngPolicy, sample
+from .core import MatrixDistribution, RngPolicy, block_slices, draw_block, pick_atoms
 from .spectral import NumericalError
 
 MONOTONICITY_SLACK = 1e-12
@@ -82,8 +82,13 @@ def simulate_paths(
 ) -> list[TrajectoryRecord]:
     """Iterate the network on every path at once, one i.i.d. draw per path and step.
 
-    Path k draws only from ``rngs[k]``, one ``sample`` call per step, so its
-    record does not depend on which other paths run alongside it.
+    Path k draws only from ``rngs[k]``, in the order one-path-at-a-time
+    sampling would: a finite distribution's whole horizon of uniforms in one
+    call, a generator one draw per step.  So its record does not depend on
+    which other paths run alongside it.  Each step applies the drawn
+    matrices as stacked matrix-vector products, over path slices whose
+    matrix block fits ``core.BLOCK_BYTES``; every generator draw is
+    validated.
 
     The diameter is checked for monotone decrease at every step (1e-12
     slack for floating-point reassociation); a violation means a broken
@@ -103,12 +108,27 @@ def simulate_paths(
     x = np.tile(x0, (len(rngs), 1))
     series = np.empty((3, len(rngs), horizon + 1))
     diam, dis_inf, dis_l2 = series
+    slices = block_slices(len(rngs), dist.n)
+    if dist.kind == "finite":
+        atoms = np.stack([m.entries for _, m in dist.atoms])
+        probs = [p for p, _ in dist.atoms]
+        picks = pick_atoms(probs, np.stack([rng.random(horizon) for rng in rngs]))
+    elif dist.kind == "generator":
+        drawn = np.empty((slices[0].stop, dist.n, dist.n))
     # overflow is reported by _check_series as a NumericalError instead
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon + 1):
             if t > 0:
-                for k, rng in enumerate(rngs):
-                    x[k] = sample(dist, rng).entries @ x[k]
+                for sl in slices:
+                    if dist.kind == "dirac":
+                        block = dist.matrix.entries
+                    elif dist.kind == "finite":
+                        block = atoms[picks[sl, t - 1]]
+                    else:
+                        block = drawn[: sl.stop - sl.start]
+                        draw_block(dist, rngs[sl], block)
+                    # one gemv per stacked item: the bits of a @ x[k]
+                    x[sl] = np.matmul(block, x[sl, :, None])[:, :, 0]
             d = x - x.mean(axis=1, keepdims=True)
             diam[:, t] = x.max(axis=1) - x.min(axis=1)
             dis_inf[:, t] = np.abs(d).max(axis=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StochasticMatrix
+from .core import ConfigError, StochasticMatrix
 from .projection import make_projections
 
 MAX_EIGEN_DIM = 256
@@ -38,6 +38,12 @@ class Spectrum:
     residual: float
 
 
+def check_eigen_dimension(n: int) -> None:
+    """Refuse, as a config error, a dimension the dense eigen solve does not support."""
+    if n > MAX_EIGEN_DIM:
+        raise ConfigError(f"dimension {n} exceeds supported maximum {MAX_EIGEN_DIM}")
+
+
 def eigen_spectrum(m: np.ndarray) -> Spectrum:
     """Full eigenvalue set of a real square matrix with a backward-error bound.
 
@@ -48,8 +54,7 @@ def eigen_spectrum(m: np.ndarray) -> Spectrum:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     n = m.shape[0]
-    if n > MAX_EIGEN_DIM:
-        raise ValueError(f"dimension {n} exceeds supported maximum {MAX_EIGEN_DIM}")
+    check_eigen_dimension(n)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     try:

@@ -157,6 +157,12 @@ class TestLiftSecondOrder:
         with pytest.raises(ConfigError, match="nonnegative"):
             lift_second_order(1.2, -0.2, d, d)
 
+    def test_nan_weight_rejected(self, rng):
+        # NaN fails no plain comparison; it must not reach the lifted blocks
+        d = MatrixDistribution.dirac(validate_matrix(random_stochastic(rng, 2)))
+        with pytest.raises(ConfigError, match="nonnegative"):
+            lift_second_order(float("nan"), float("nan"), d, d)
+
     def test_dimension_mismatch(self, rng):
         d2 = MatrixDistribution.dirac(validate_matrix(random_stochastic(rng, 2)))
         d3 = MatrixDistribution.dirac(validate_matrix(random_stochastic(rng, 3)))

@@ -150,6 +150,42 @@ def test_bad_run_input_exits_without_traceback(simulation, flags, code, tmp_path
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _lifted_gossip(alpha):
+    gossip = {"n": 3, "distribution": GOSSIP_CONFIG["distribution"]}
+    return {"n": 6, "distribution": {"type": "generator", "name": "lifted_pair", "params": {
+        "alpha": alpha, "beta": 0.5, "dist_a": gossip, "dist_b": gossip}}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, named",
+    [
+        pytest.param("modes", dict(GOSSIP_CONFIG, n="two"), "n must be a number",
+                     id="n_not_a_number"),
+        pytest.param("modes", _lifted_gossip("x"), "'alpha' must be a number",
+                     id="lifted_alpha_not_a_number"),
+        pytest.param("verdict", {"n": 300, "distribution": {
+            "type": "generator", "name": "lazy_permutation", "params": {"n": 300}}},
+            "dimension 300 exceeds supported maximum 256", id="verdict_n_300"),
+        pytest.param("modes", {"n": 300, "distribution": {
+            "type": "generator", "name": "lazy_permutation", "params": {"n": 300}}},
+            "dimension 300 exceeds supported maximum 256", id="modes_n_300"),
+        pytest.param("modes", dict(MIXTURE_CONFIG, distribution={"type": "finite", "atoms": [
+            dict(atom, prob=float("nan")) if k == 0 else atom
+            for k, atom in enumerate(MIXTURE_CONFIG["distribution"]["atoms"])]}),
+            "atom probabilities must be finite", id="nan_atom_prob"),
+        pytest.param("modes", dict(MIXTURE_CONFIG, distribution={"type": "finite", "atoms": [
+            dict(atom, prob="x") for atom in MIXTURE_CONFIG["distribution"]["atoms"]]}),
+            "atom 0 prob must be a number", id="atom_prob_not_a_number"),
+    ],
+)
+def test_bad_config_exits_2_with_one_line(command, doc, named, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg), "--mc-samples", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ") and named in err
+
+
 class TestModesCommand:
     def test_gossip_all_converged(self, gossip_config, capsys):
         assert main(["modes", "--config", gossip_config, "--paths", "100",

@@ -13,7 +13,7 @@ from consensuslab import (
 )
 from consensuslab.core import (
     MatrixValidationError,
-    _pick_atom,
+    pick_atoms,
     registered_generators,
     resolve_x0,
 )
@@ -72,10 +72,10 @@ class TestSampling:
 
     def test_inverse_cdf_selection(self):
         # uniform draw 0.3 against probs (0.5, 0.5) picks the first atom
-        assert _pick_atom([0.5, 0.5], 0.3) == 0
-        assert _pick_atom([0.5, 0.5], 0.5) == 1
-        assert _pick_atom([0.2, 0.3, 0.5], 0.49) == 1
-        assert _pick_atom([0.5, 0.5], 1.0 - 1e-16) == 1
+        assert pick_atoms([0.5, 0.5], 0.3) == 0
+        assert pick_atoms([0.5, 0.5], 0.5) == 1
+        assert pick_atoms([0.2, 0.3, 0.5], 0.49) == 1
+        assert pick_atoms([0.5, 0.5], 1.0 - 1e-16) == 1
 
     def test_gossip_uniform_over_pairs_chi_square(self):
         # chi-square over 1e5 draws, 2 dof; 9.210 is the 1% critical value
@@ -139,6 +139,13 @@ class TestDistributionInvariants:
         m = validate_matrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ConfigError, match="sum"):
             MatrixDistribution.finite([(0.7, m), (0.4, m)])
+
+    @pytest.mark.parametrize("probs", [(float("nan"), 1.0), (float("inf"), -float("inf"))])
+    def test_finite_nonfinite_probs_rejected(self, probs):
+        # NaN slips past every comparison; the picker needs a finite cumulative sum
+        m = validate_matrix(np.eye(2))
+        with pytest.raises(ConfigError, match="atom probabilities must be finite"):
+            MatrixDistribution.finite([(p, m) for p in probs])
 
     def test_finite_mixed_dims_rejected(self):
         m2 = validate_matrix(np.eye(2))

@@ -1,9 +1,11 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
 
 from consensuslab import (
+    ConfigError,
     MatrixDistribution,
     lift_second_order,
     RngPolicy,
@@ -14,7 +16,11 @@ from consensuslab import (
     validate_matrix,
     zero_one_probe,
 )
+from consensuslab import core
+from consensuslab.analysis import expected_matrix
+from consensuslab.core import MatrixValidationError, registered_generators
 from consensuslab.dynamics import (
+    simulate_paths,
     paths_as_json,
     summarize_modes,
     write_aggregate_csv,
@@ -153,6 +159,209 @@ def test_run_paths_equals_one_path_per_stream(name):
         assert rec.path_id == alone.path_id == k
         for field in ("diameter", "disagreement_inf", "disagreement_l2", "final_state"):
             assert np.array_equal(getattr(rec, field), getattr(alone, field)), (k, field)
+
+
+def _reference_paths(dist, x0, horizon, rngs):
+    """One path at a time, one draw and one ``a @ x`` per step: the engine's reference."""
+    out = []
+    for rng in rngs:
+        x = x0.copy()
+        rows = []
+        for t in range(horizon + 1):
+            if t > 0:
+                if dist.kind == "dirac":
+                    a = dist.matrix.entries
+                elif dist.kind == "finite":
+                    # inverse CDF; a uniform in the rounding gap picks the last atom
+                    u, acc, k = rng.random(), 0.0, len(dist.atoms) - 1
+                    for j, (p, _) in enumerate(dist.atoms):
+                        acc += p
+                        if u < acc:
+                            k = j
+                            break
+                    a = dist.atoms[k][1].entries
+                else:
+                    a = validate_matrix(dist._draw(rng)).entries
+                x = a @ x
+            d = x - x.mean()
+            rows.append((x.max() - x.min(), np.abs(d).max(), np.linalg.norm(d)))
+        diam, dis_inf, dis_l2 = map(np.array, zip(*rows))
+        out.append(
+            {"diameter": diam, "disagreement_inf": dis_inf, "disagreement_l2": dis_l2,
+             "final_state": x}
+        )
+    return out
+
+
+def _assert_records_equal(records, expected):
+    assert len(records) == len(expected)
+    for k, (rec, ref) in enumerate(zip(records, expected)):
+        for field, want in ref.items():
+            assert np.array_equal(getattr(rec, field), want), (k, field)
+
+
+GAP_PROBS = (0.0, 0.4, 0.0, 0.6 - 5e-10, 0.0)  # zero-probability atoms, sum 1 - 5e-10
+
+
+def _engine_cases():
+    """name -> (distribution, paths, matrices per block slice or None for the default)."""
+    rng = np.random.default_rng(8)
+
+    def stoch(n):
+        return validate_matrix(random_stochastic(rng, n))
+
+    def gen(name, params):
+        return {"n": params.get("n"), "distribution": {
+            "type": "generator", "name": name, "params": params}}
+
+    generator_params = {
+        "pairwise_gossip": {"n": 10},
+        "dirichlet_rows": {"n": 4, "alpha": 0.7},
+        "lazy_permutation": {"n": 5, "hold_prob": 0.3},
+        "lifted_pair": {
+            "alpha": 0.4, "beta": 0.6,
+            "dist_a": gen("pairwise_gossip", {"n": 3}),
+            "dist_b": {"n": 3, "distribution": {"type": "finite", "atoms": [
+                {"prob": 0.3, "matrix": random_stochastic(rng, 3).tolist()},
+                {"prob": 0.7, "matrix": random_stochastic(rng, 3).tolist()}]}},
+        },
+    }
+    gap = MatrixDistribution.finite([(p, stoch(5)) for p in GAP_PROBS])
+    cases = {
+        "dirac": (MatrixDistribution.dirac(stoch(4)), 6, None),
+        "finite_zero_prob_and_gap": (gap, 6, None),
+        "finite_n12": (MatrixDistribution.finite([(p, stoch(12)) for p in (0.5, 0.2, 0.3)]), 6, None),
+        "finite_sliced": (gap, 8, 3),
+        "pairwise_gossip_n10_sliced": (
+            MatrixDistribution.generator("pairwise_gossip", {"n": 10}), 8, 3),
+    }
+    for name in registered_generators():
+        cases[name] = (MatrixDistribution.generator(name, generator_params[name]), 6, None)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_engine_cases()))
+def test_run_paths_matches_scalar_reference(name, monkeypatch):
+    dist, paths, per_slice = _engine_cases()[name]
+    if per_slice is not None:
+        monkeypatch.setattr(core, "BLOCK_BYTES", per_slice * 8 * dist.n**2)
+        assert len(core.block_slices(paths, dist.n)) > 1
+    x0 = np.linspace(-1.0, 2.0, dist.n)
+    policy = RngPolicy(17)
+    records = run_paths(dist, x0, paths, 12, policy)
+    expected = _reference_paths(dist, x0, 12, [policy.path_stream(k) for k in range(paths)])
+    _assert_records_equal(records, expected)
+
+
+class _Uniforms:
+    """A scripted stream serving fixed uniforms one at a time or in blocks, as a Generator does."""
+
+    def __init__(self, values):
+        self._values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self._values.pop(0)
+        block, self._values = self._values[:size], self._values[size:]
+        return np.array(block)
+
+
+def test_engine_pick_rule_on_boundaries_and_in_gap():
+    # cumulative probs (0, 0.4, 0.4, 1 - 5e-10, 1 - 5e-10): uniforms on each
+    # boundary and in the gap above the last one
+    uniforms = [0.0, 0.4, np.nextafter(0.4, 0.0), 1 - 5e-10, 1 - 1e-10, 1 - 2**-53]
+    dist = _engine_cases()["finite_zero_prob_and_gap"][0]
+    x0 = np.linspace(-1.0, 2.0, dist.n)
+    scripts = [uniforms, uniforms[::-1], uniforms[2:] + uniforms[:2]]
+    records = simulate_paths(dist, x0, 6, [_Uniforms(u) for u in scripts], range(3))
+    _assert_records_equal(records, _reference_paths(dist, x0, 6, [_Uniforms(u) for u in scripts]))
+
+
+def _patch_gossip(monkeypatch, faults):
+    """Make pairwise_gossip's draw number c (from 0, per distribution) apply faults[c](matrix).
+
+    Returns the list of faulty matrices drawn, in draw order.
+    """
+    original = core._GENERATORS["pairwise_gossip"]
+    made = []
+
+    def factory(params):
+        n, draw = original(params)
+        count = itertools.count()
+
+        def faulty(rng):
+            m = draw(rng)
+            fault = faults.get(next(count))
+            if fault is not None:
+                fault(m)
+                made.append(m.copy())
+            return m
+
+        return n, faulty
+
+    monkeypatch.setitem(core._GENERATORS, "pairwise_gossip", factory)
+    return made
+
+
+def _row_sum_fault(row, excess):
+    def fault(m):
+        m[row, row] += excess
+
+    return fault
+
+
+def _message(raw):
+    with pytest.raises(MatrixValidationError) as err:
+        validate_matrix(raw)
+    return str(err.value)
+
+
+def test_block_validator_reports_first_bad_draw(monkeypatch):
+    paths = 5
+    # draws run step by step, in path order within a step: path 3 at step 2
+    # is draw 8; path 4 at step 2 (draw 9) and path 0 at step 3 (draw 10)
+    # fail differently
+    faults = {
+        paths + 3: _row_sum_fault(1, 0.25),
+        paths + 4: _row_sum_fault(0, 0.5),
+        2 * paths: _row_sum_fault(2, 0.125),
+    }
+    made = _patch_gossip(monkeypatch, faults)
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": 4})
+    with pytest.raises(MatrixValidationError) as err:
+        run_paths(dist, np.linspace(0.0, 1.0, 4), paths, 4, RngPolicy(3))
+    assert str(err.value) == _message(made[0])
+    assert str(err.value).startswith("row 1 sums to")
+
+    made.clear()
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": 4})
+    with pytest.raises(MatrixValidationError) as err:
+        expected_matrix(dist, mc_samples=1000, rng=np.random.default_rng(0))
+    assert str(err.value) == _message(made[0])
+
+
+def test_bad_draw_reported_before_a_later_generator_failure(monkeypatch):
+    def boom(m):
+        raise RuntimeError("boom")
+
+    _patch_gossip(monkeypatch, {3: _row_sum_fault(0, 0.5), 4: boom})
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
+    with pytest.raises(MatrixValidationError, match="row 0 sums to"):
+        run_paths(dist, np.linspace(0.0, 1.0, 3), 6, 2, RngPolicy(3))
+
+    monkeypatch.undo()
+    _patch_gossip(monkeypatch, {4: boom})
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
+    with pytest.raises(ConfigError, match="generator 'pairwise_gossip' failed: boom"):
+        run_paths(dist, np.linspace(0.0, 1.0, 3), 6, 2, RngPolicy(3))
+
+
+def test_wrong_shape_draw_rejected_not_broadcast(monkeypatch):
+    # a row-vector draw would otherwise broadcast into the (n, n) block slot
+    monkeypatch.setitem(core._GENERATORS, "row_draw", lambda params: (3, lambda rng: np.ones(3) / 3))
+    dist = MatrixDistribution.generator("row_draw", {})
+    with pytest.raises(MatrixValidationError, match=r"drew shape \(3,\), expected \(3, 3\)"):
+        run_paths(dist, np.linspace(0.0, 1.0, 3), 2, 2, RngPolicy(0))
 
 
 class TestShiftInvariance:
