@@ -28,6 +28,7 @@ from .core import (
     block_slices,
     companion_block,
     draw_block,
+    lift_weights,
     validate_matrix,
 )
 from .dynamics import ModeReport, estimate_modes
@@ -183,11 +184,10 @@ def cross_validate(
     policy: RngPolicy,
     mc_samples: int = 10000,
     p: float = 1.0,
-    threads: int = 1,
 ) -> ConsensusVerdict:
     """Run the spectral verdict and the simulation; report both sides verbatim."""
     verdict = random_verdict(dist, mc_samples=mc_samples, rng=policy.expectation_stream())
-    modes = estimate_modes(dist, x0, paths, horizon, eps, p, policy, threads=threads)
+    modes = estimate_modes(dist, x0, paths, horizon, eps, p, policy)
     verdict.discrepancy = discrepancy_note(verdict, modes)
     return verdict
 
@@ -205,10 +205,7 @@ def lift_second_order(
     inputs are lifted by enumerating the independent product support;
     generator inputs fall back to joint sampling.
     """
-    if not (alpha >= 0 and beta >= 0):
-        raise ConfigError(f"weights must be nonnegative, got alpha={alpha!r}, beta={beta!r}")
-    if not abs(alpha + beta - 1.0) <= 1e-12:
-        raise ConfigError(f"weights must sum to 1, got {alpha!r} + {beta!r} = {alpha + beta!r}")
+    alpha, beta = lift_weights(alpha, beta)
     if dist_a.n != dist_b.n:
         raise ConfigError(f"dimension mismatch: {dist_a.n} vs {dist_b.n}")
 

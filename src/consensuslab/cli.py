@@ -122,7 +122,6 @@ def cmd_verdict(args: argparse.Namespace) -> int:
 
 def cmd_deterministic(args: argparse.Namespace) -> int:
     dist, params = load_config(args.config)
-    params = _merge_params(params, args)
     if dist.kind != "dirac":
         raise ConfigError("deterministic verdict needs a dirac (single-matrix) config")
     doc = {
@@ -138,7 +137,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = _merge_params(params, args)
     policy = RngPolicy(params.seed)
     x0 = resolve_x0(params.x0, dist.n, policy)
-    records = run_paths(dist, x0, params.paths, params.horizon, policy, threads=args.threads)
+    records = run_paths(dist, x0, params.paths, params.horizon, policy)
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     if args.format == "csv":
@@ -165,7 +164,7 @@ def cmd_modes(args: argparse.Namespace) -> int:
     check_eigen_dimension(dist.n)  # the verdict's limit, checked before the simulation
     policy = RngPolicy(params.seed)
     x0 = resolve_x0(params.x0, dist.n, policy)
-    records = run_paths(dist, x0, params.paths, params.horizon, policy, threads=args.threads)
+    records = run_paths(dist, x0, params.paths, params.horizon, policy)
     report = summarize_modes(records, params.eps, params.p)
     verdict = random_verdict(dist, mc_samples=params.mc_samples, rng=policy.expectation_stream())
     verdict.discrepancy = discrepancy_note(verdict, report)
@@ -192,10 +191,6 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ConfigError("--trials must be >= 1")
-    if args.n_max < 2:
-        raise ConfigError("--n-max must be >= 2")
     results = run_selfcheck(n_max=args.n_max, trials=args.trials, seed=args.seed)
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -208,44 +203,53 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
-    if config:
-        parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (64-bit)")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--paths", type=int, default=None)
-    parser.add_argument("--horizon", type=int, default=None)
-    parser.add_argument("--eps", type=float, default=None)
-    parser.add_argument("--p", type=float, default=None)
-    parser.add_argument("--mc-samples", dest="mc_samples", type=int, default=None)
-    parser.add_argument("--x0", default=None, help="'uniform01' or comma-separated reals")
-    parser.add_argument("--threads", type=int, default=1)
+_FLAGS = {
+    "--config": dict(required=True, help="JSON config path"),
+    "--out": dict(help="output directory"),
+    "--seed": dict(type=int, help="master seed (64-bit)"),
+    "--paths": dict(type=int),
+    "--horizon": dict(type=int),
+    "--eps": dict(type=float),
+    "--p": dict(type=float),
+    "--x0": dict(help="'uniform01' or comma-separated reals"),
+    "--mc-samples": dict(dest="mc_samples", type=int),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--threads": dict(type=int, default=1, help="accepted; has no effect"),
+}
+_RUN_FLAGS = ("--config", "--out", "--seed", "--paths", "--horizon", "--eps", "--p", "--x0")
+
+_COMMANDS = {
+    "verdict": (cmd_verdict, "spectral consensus decision for a distribution",
+                ("--config", "--out", "--seed", "--mc-samples")),
+    "deterministic": (cmd_deterministic, "verdict for a single fixed matrix",
+                      ("--config", "--out")),
+    "simulate": (cmd_simulate, "simulate paths and emit per-path/aggregate series",
+                 (*_RUN_FLAGS, "--format", "--threads")),
+    "modes": (cmd_modes, "estimate the three convergence modes",
+              (*_RUN_FLAGS, "--mc-samples", "--threads")),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 2 with one line, like every other input error."""
+
+    def error(self, message: str):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="consensuslab",
         description="Decide and empirically validate consensus of linear random networks.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verdict", help="spectral consensus decision for a distribution")
-    _add_common(p)
-    p.set_defaults(func=cmd_verdict)
-
-    p = sub.add_parser("deterministic", help="verdict for a single fixed matrix")
-    _add_common(p)
-    p.set_defaults(func=cmd_deterministic)
-
-    p = sub.add_parser("simulate", help="simulate paths and emit per-path/aggregate series")
-    _add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("modes", help="estimate the three convergence modes")
-    _add_common(p)
-    p.set_defaults(func=cmd_modes)
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
 
     p = sub.add_parser("lift", help="build the second-order block companion distribution")
     p.add_argument("--config-a", required=True)
@@ -277,6 +281,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
+    except MemoryError as exc:
+        print(f"config error: run too large for memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -77,13 +77,16 @@ def validate_matrix(raw: Any) -> StochasticMatrix:
 def validate_block(block: np.ndarray) -> None:
     """Check a (count, n, n) float block of matrices in place.
 
-    Clamps entries in [-1e-12, 0) to zero.  On failure the error is the
-    one :func:`validate_matrix` gives for the first failing matrix: its
-    first non-finite, too-negative or bad-row-sum finding, in that order.
+    Clamps entries in [-1e-12, 0) to zero, not more negative ones.  On
+    failure the error is the one :func:`validate_matrix` gives for the first
+    failing matrix: its first non-finite, too-negative or bad-row-sum finding.
     """
     finite = np.isfinite(block).all(axis=(1, 2))
     negative = (block < -NEGATIVE_ENTRY_TOL).any(axis=(1, 2))
-    block[block < 0.0] = 0.0
+    clamp = block < 0.0
+    if negative.any():
+        clamp &= block >= -NEGATIVE_ENTRY_TOL  # the message names a too-negative entry
+    block[clamp] = 0.0
     row_sums = block.sum(axis=2)
     bad_rows = np.abs(row_sums - 1.0) > ROW_SUM_TOL
     bad = ~finite | negative | bad_rows.any(axis=1)
@@ -93,15 +96,46 @@ def validate_block(block: np.ndarray) -> None:
     if not finite[d]:
         raise MatrixValidationError("matrix has non-finite entries")
     if negative[d]:
-        # the clamp left every entry below the tolerance as it was
         i, j = np.unravel_index(np.argmin(block[d]), block.shape[1:])
         raise MatrixValidationError(
-            f"negative entry {block[d, i, j]!r} at ({i},{j}) below tolerance"
+            f"negative entry {float(block[d, i, j])!r} at ({i},{j}) below tolerance"
         )
     i = int(np.argmax(bad_rows[d]))
     raise MatrixValidationError(
-        f"row {i} sums to {row_sums[d, i]!r}, expected 1 within {ROW_SUM_TOL}"
+        f"row {i} sums to {float(row_sums[d, i])!r}, expected 1 within {ROW_SUM_TOL}"
     )
+
+
+def checked_number(
+    kind: type, name: str, raw: Any, low: Any = None, high: Any = None, *, strict: bool = False
+):
+    """``kind(raw)`` for a number from a config or a flag, or a ConfigError naming it.
+
+    The one input-number rule.  Strings and numbers coerce as ``kind()``
+    does; bools are refused, and an int field refuses a float with a
+    fractional part and keeps an int exact.  ``low``/``high`` bound the
+    value (``strict`` excludes ``low``); a bounded value must also be
+    finite, so NaN fails every range.
+    """
+    if isinstance(raw, (bool, np.bool_)) or (
+        kind is int and isinstance(raw, (float, np.floating)) and not raw.is_integer()
+    ):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {expected}, got {raw!r}")
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {raw!r}") from None
+    if low is None:
+        return value
+    if high is not None:
+        rule, ok = f"in [{low}, {high}]", low <= value <= high
+    else:
+        rule = f"{'finite and ' if kind is float else ''}{'>' if strict else '>='} {low}"
+        ok = (low < value if strict else low <= value) and value < math.inf
+    if not ok:
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
+    return value
 
 
 # --- parametric generators -------------------------------------------------
@@ -125,18 +159,17 @@ def registered_generators() -> tuple[str, ...]:
     return tuple(sorted(_GENERATORS))
 
 
-def _require_int(params: dict, key: str, minimum: int) -> int:
-    if key not in params:
+def _param(params: dict, key: str, kind: type, low, high=None, *, default=None, strict=False):
+    """One generator parameter through :func:`checked_number`; ``default`` if it is absent."""
+    if key not in params and default is None:
         raise ConfigError(f"generator params missing {key!r}")
-    value = params[key]
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"generator param {key!r} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
+    raw = params.get(key, default)
+    return checked_number(kind, f"generator param {key!r}", raw, low, high, strict=strict)
 
 
 @_register("pairwise_gossip")
 def _pairwise_gossip(params: dict):
-    n = _require_int(params, "n", 2)
+    n = _param(params, "n", int, 2)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
     def draw(rng: np.random.Generator) -> np.ndarray:
@@ -151,11 +184,9 @@ def _pairwise_gossip(params: dict):
 
 @_register("dirichlet_rows")
 def _dirichlet_rows(params: dict):
-    n = _require_int(params, "n", 1)
-    alpha = params.get("alpha", 1.0)
-    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or alpha <= 0:
-        raise ConfigError(f"generator param 'alpha' must be positive, got {alpha!r}")
-    conc = np.full(n, float(alpha))
+    n = _param(params, "n", int, 1)
+    alpha = _param(params, "alpha", float, 0, default=1.0, strict=True)
+    conc = np.full(n, alpha)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.dirichlet(conc, size=n)
@@ -165,11 +196,8 @@ def _dirichlet_rows(params: dict):
 
 @_register("lazy_permutation")
 def _lazy_permutation(params: dict):
-    n = _require_int(params, "n", 1)
-    hold_prob = params.get("hold_prob", 0.5)
-    if not isinstance(hold_prob, (int, float)) or isinstance(hold_prob, bool) or not 0.0 <= hold_prob <= 1.0:
-        raise ConfigError(f"generator param 'hold_prob' must be in [0,1], got {hold_prob!r}")
-    hold_prob = float(hold_prob)
+    n = _param(params, "n", int, 1)
+    hold_prob = _param(params, "hold_prob", float, 0, 1, default=0.5)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         if rng.random() < hold_prob:
@@ -189,12 +217,7 @@ def _lifted_pair(params: dict):
     for key in ("alpha", "beta", "dist_a", "dist_b"):
         if key not in params:
             raise ConfigError(f"generator params missing {key!r}")
-    alpha = _number(float, "generator param 'alpha'", params["alpha"])
-    beta = _number(float, "generator param 'beta'", params["beta"])
-    if not (alpha >= 0 and beta >= 0 and abs(alpha + beta - 1.0) <= 1e-12):
-        raise ConfigError(
-            f"lifted weights must be nonnegative and sum to 1, got {alpha!r} + {beta!r}"
-        )
+    alpha, beta = lift_weights(params["alpha"], params["beta"])
     dist_a = distribution_from_config(params["dist_a"])
     dist_b = distribution_from_config(params["dist_b"])
     if dist_a.n != dist_b.n:
@@ -209,6 +232,17 @@ def _lifted_pair(params: dict):
         return companion_block(alpha, a, beta, b)
 
     return 2 * n, draw
+
+
+def lift_weights(alpha: Any, beta: Any) -> tuple[float, float]:
+    """The second-order lifting weights as floats: nonnegative, summing to 1 within 1e-12."""
+    alpha = checked_number(float, "lift weight 'alpha'", alpha)
+    beta = checked_number(float, "lift weight 'beta'", beta)
+    if not (alpha >= 0 and beta >= 0):
+        raise ConfigError(f"lift weights must be nonnegative, got alpha={alpha!r}, beta={beta!r}")
+    if not abs(alpha + beta - 1.0) <= 1e-12:
+        raise ConfigError(f"lift weights must sum to 1, got {alpha!r} + {beta!r}")
+    return alpha, beta
 
 
 def companion_block(alpha: float, a: np.ndarray, b_weight: float, b: np.ndarray) -> np.ndarray:
@@ -253,7 +287,7 @@ class MatrixDistribution:
             raise ConfigError(f"atom probabilities must be nonnegative, got {probs.tolist()}")
         total = probs.sum()
         if abs(total - 1.0) > ROW_SUM_TOL:
-            raise ConfigError(f"atom probabilities sum to {total!r}, expected 1")
+            raise ConfigError(f"atom probabilities sum to {round(float(total), 12)!r}, expected 1")
         dims = {m.n for _, m in atoms}
         if len(dims) != 1:
             raise ConfigError(f"atoms have mixed dimensions {sorted(dims)}")
@@ -391,9 +425,9 @@ class RngPolicy:
 class RunParams:
     """Simulation defaults, overridable by CLI flags.
 
-    Every field but ``x0`` is coerced with ``int()``/``float()`` and range
-    checked on construction, so config values and flag overrides (applied
-    with ``dataclasses.replace``) pass the same checks.
+    Every number, ``x0`` entries included, passes :func:`checked_number`
+    on construction, so config values and flag overrides (applied with
+    ``dataclasses.replace``) pass the same checks.
     """
 
     paths: int = 200
@@ -405,28 +439,17 @@ class RunParams:
     mc_samples: int = 10000
 
     def __post_init__(self) -> None:
-        for name in ("paths", "horizon", "seed", "mc_samples"):
-            object.__setattr__(self, name, _number(int, name, getattr(self, name)))
-        for name in ("eps", "p"):
-            object.__setattr__(self, name, _number(float, name, getattr(self, name)))
-        if self.paths < 1:
-            raise ConfigError(f"paths must be >= 1, got {self.paths}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if not 0 < self.eps < math.inf:
-            raise ConfigError(f"eps must be finite and > 0, got {self.eps!r}")
-        if not 1 <= self.p < math.inf:
-            raise ConfigError(f"p must be finite and >= 1, got {self.p!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-
-def _number(kind: type, name: str, raw: Any):
-    """``kind(raw)`` for a config value, or a ConfigError naming it."""
-    try:
-        return kind(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {raw!r}") from None
+        # mc_samples has no bound here: it is checked where it is used
+        rules = (("paths", int, 1), ("horizon", int, 1), ("seed", int, 0),
+                 ("mc_samples", int, None), ("eps", float, 0), ("p", float, 1))
+        for name, kind, low in rules:
+            value = checked_number(kind, name, getattr(self, name), low, strict=name == "eps")
+            object.__setattr__(self, name, value)
+        if isinstance(self.x0, (list, tuple)):
+            for i, value in enumerate(self.x0):
+                checked_number(float, f"x0[{i}]", value)
+        elif not isinstance(self.x0, str):
+            raise ConfigError(f"x0 must be 'uniform01' or an array of reals, got {self.x0!r}")
 
 
 def distribution_from_config(doc: dict) -> MatrixDistribution:
@@ -451,14 +474,10 @@ def distribution_from_config(doc: dict) -> MatrixDistribution:
             if not isinstance(atom, dict) or "prob" not in atom or "matrix" not in atom:
                 raise ConfigError(f"atom {idx} must be an object with 'prob' and 'matrix'")
             try:
-                atoms.append(
-                    (_number(float, f"atom {idx} prob", atom["prob"]), validate_matrix(atom["matrix"]))
-                )
+                prob = checked_number(float, f"atom {idx} prob", atom["prob"])
+                atoms.append((prob, validate_matrix(atom["matrix"])))
             except MatrixValidationError as exc:
                 raise ConfigError(f"atom {idx}: {exc}") from exc
-        probs_total = sum(p for p, _ in atoms)
-        if abs(probs_total - 1.0) > ROW_SUM_TOL:
-            raise ConfigError(f"atom probabilities sum to {round(probs_total, 12)}")
         dist = MatrixDistribution.finite(atoms)
     elif kind == "generator":
         if "name" not in spec:
@@ -466,7 +485,7 @@ def distribution_from_config(doc: dict) -> MatrixDistribution:
         dist = MatrixDistribution.generator(spec["name"], spec.get("params", {}))
     else:
         raise ConfigError(f"unknown distribution type {kind!r}")
-    if "n" in doc and _number(int, "config field n", doc["n"]) != dist.n:
+    if "n" in doc and checked_number(int, "config field n", doc["n"]) != dist.n:
         raise ConfigError(f"config field n={doc['n']} disagrees with distribution dimension {dist.n}")
     return dist
 

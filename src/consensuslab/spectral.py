@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, StochasticMatrix
-from .projection import make_projections
 
 MAX_EIGEN_DIM = 256
 RESIDUAL_REL_TOL = 1e-7
@@ -108,5 +107,5 @@ def deterministic_verdict(a: StochasticMatrix, tol: float = VERDICT_TOL) -> str:
 
 
 def disagreement_update_matrix(a: StochasticMatrix) -> np.ndarray:
-    """The matrix driving the disagreement component: pi_perp @ A."""
-    return make_projections(a.n).pi_perp @ a.entries
+    """The matrix driving the disagreement component: pi_perp @ A, each column less its mean."""
+    return a.entries - a.entries.mean(axis=0)

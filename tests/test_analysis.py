@@ -163,6 +163,18 @@ class TestLiftSecondOrder:
         with pytest.raises(ConfigError, match="nonnegative"):
             lift_second_order(float("nan"), float("nan"), d, d)
 
+    def test_one_weight_check_for_both_lifts(self, rng, gossip3):
+        d = MatrixDistribution.dirac(validate_matrix(random_stochastic(rng, 3)))
+        message = "lift weights must sum to 1, got 0.8 + 0.3"
+        with pytest.raises(ConfigError) as direct:
+            lift_second_order(0.8, 0.3, d, gossip3)
+        config = {"n": 3, "distribution": gossip3.to_config()}
+        with pytest.raises(ConfigError) as generator:
+            MatrixDistribution.generator(
+                "lifted_pair", {"alpha": 0.8, "beta": 0.3, "dist_a": config, "dist_b": config}
+            )
+        assert str(direct.value) == str(generator.value) == message
+
     def test_dimension_mismatch(self, rng):
         d2 = MatrixDistribution.dirac(validate_matrix(random_stochastic(rng, 2)))
         d3 = MatrixDistribution.dirac(validate_matrix(random_stochastic(rng, 3)))

@@ -186,6 +186,79 @@ def test_bad_config_exits_2_with_one_line(command, doc, named, tmp_path, capsys)
     assert err.count("\n") == 1 and err.startswith("config error: ") and named in err
 
 
+def _dirichlet3(alpha):
+    return {"n": 3, "distribution": {
+        "type": "generator", "name": "dirichlet_rows", "params": {"n": 3, "alpha": alpha}}}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, named",
+    [
+        pytest.param(dict(GOSSIP_CONFIG, simulation={"paths": 2.7}), ["simulate"],
+                     "paths must be an integer, got 2.7", id="fractional_paths"),
+        pytest.param(dict(GOSSIP_CONFIG, simulation={"paths": True}), ["simulate"],
+                     "paths must be an integer, got True", id="bool_paths"),
+        pytest.param(dict(GOSSIP_CONFIG, simulation={"x0": [1, True, 0]}), ["simulate"],
+                     "x0[1] must be a number, got True", id="bool_x0_entry"),
+        pytest.param(dict(GOSSIP_CONFIG, n=3.9), ["simulate"],
+                     "config field n must be an integer, got 3.9", id="fractional_n"),
+        pytest.param({"n": 3, "distribution": {
+            "type": "generator", "name": "pairwise_gossip", "params": {"n": 2.5}}}, ["verdict"],
+            "generator param 'n' must be an integer, got 2.5", id="fractional_generator_n"),
+        pytest.param(_dirichlet3(float("nan")), ["verdict"],
+                     "generator param 'alpha' must be finite and > 0, got nan", id="alpha_nan"),
+        pytest.param(_dirichlet3(float("inf")), ["verdict"],
+                     "generator param 'alpha' must be finite and > 0, got inf", id="alpha_inf"),
+        pytest.param(dict(MIXTURE_CONFIG, distribution={"type": "finite", "atoms": [
+            dict(atom, prob=True) for atom in MIXTURE_CONFIG["distribution"]["atoms"]]}),
+            ["modes"], "atom 0 prob must be a number, got True", id="bool_atom_prob"),
+        pytest.param(_lifted_gossip(False), ["modes"],
+                     "lift weight 'alpha' must be a number, got False", id="bool_lift_weight"),
+        pytest.param(None, ["selfcheck", "--seed", "-1"],
+                     "seed must be >= 0, got -1", id="selfcheck_negative_seed"),
+        pytest.param(None, ["selfcheck", "--n-max", "1"],
+                     "n_max must be >= 2, got 1", id="selfcheck_n_max_1"),
+        # sizes no machine can allocate: numpy refuses them before touching memory
+        pytest.param(GOSSIP_CONFIG, ["simulate", "--horizon", str(10**15)],
+                     "run too large for memory", id="huge_horizon"),
+        pytest.param(GOSSIP_CONFIG, ["verdict", "--mc-samples", str(10**16)],
+                     "run too large for memory", id="huge_mc_samples"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(doc, argv, named, tmp_path, capsys):
+    if doc is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [argv[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *argv[1:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: ") and named in err
+
+
+# every flag a command accepted before without reading it
+UNREAD_FLAGS = [
+    *(("verdict", flag, value) for flag, value in (
+        ("--format", "json"), ("--paths", "5"), ("--horizon", "5"), ("--eps", "0.1"),
+        ("--p", "2"), ("--x0", "1,0,0"), ("--threads", "2"))),
+    *(("deterministic", flag, value) for flag, value in (
+        ("--seed", "5"), ("--format", "json"), ("--paths", "5"), ("--horizon", "5"),
+        ("--eps", "0.1"), ("--p", "2"), ("--mc-samples", "2000"), ("--x0", "1,0,0"),
+        ("--threads", "2"))),
+    ("simulate", "--mc-samples", "2000"),
+    ("modes", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in UNREAD_FLAGS])
+def test_flag_the_command_does_not_read_is_refused(command, flag, value, identity_config, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", identity_config, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"unrecognized arguments: {flag} {value}" in err
+
+
 class TestModesCommand:
     def test_gossip_all_converged(self, gossip_config, capsys):
         assert main(["modes", "--config", gossip_config, "--paths", "100",

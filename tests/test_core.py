@@ -13,6 +13,7 @@ from consensuslab import (
 )
 from consensuslab.core import (
     MatrixValidationError,
+    checked_number,
     pick_atoms,
     registered_generators,
     resolve_x0,
@@ -41,6 +42,15 @@ class TestValidateMatrix:
     def test_tiny_negative_clamped_to_zero(self):
         m = validate_matrix([[1.0 + 5e-13, -5e-13], [0.5, 0.5]])
         assert m.entries[0, 1] == 0.0
+
+    @pytest.mark.parametrize("raw, message", [
+        ([[0, 1], [1.5, -0.5]], "negative entry -0.5 at (1,1) below tolerance"),
+        ([[0.5, 0.5], [0.75, 0.5]], "row 1 sums to 1.25, expected 1 within 1e-09"),
+    ])
+    def test_error_names_the_bad_entry_as_a_plain_float(self, raw, message):
+        with pytest.raises(MatrixValidationError) as exc:
+            validate_matrix(raw)
+        assert str(exc.value) == message
 
     def test_non_square_rejected(self):
         with pytest.raises(MatrixValidationError, match="square"):
@@ -139,6 +149,12 @@ class TestDistributionInvariants:
         m = validate_matrix([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ConfigError, match="sum"):
             MatrixDistribution.finite([(0.7, m), (0.4, m)])
+
+    def test_finite_prob_sum_message(self):
+        m = validate_matrix(np.eye(2))
+        with pytest.raises(ConfigError) as exc:
+            MatrixDistribution.finite([(0.7, m), (0.4, m)])
+        assert str(exc.value) == "atom probabilities sum to 1.1, expected 1"
 
     @pytest.mark.parametrize("probs", [(float("nan"), 1.0), (float("inf"), -float("inf"))])
     def test_finite_nonfinite_probs_rejected(self, probs):
@@ -257,3 +273,32 @@ class TestResolveX0:
     def test_bad_keyword(self):
         with pytest.raises(ConfigError):
             resolve_x0("gaussian", 2, RngPolicy(0))
+
+
+class TestCheckedNumbers:
+    @pytest.mark.parametrize("raw", [200, 200.0, "200"])
+    def test_integral_values_still_load(self, raw):
+        _, params = load_config({"distribution": {"type": "dirac", "matrix": [[1.0]]},
+                                 "simulation": {"paths": raw}})
+        assert params.paths == 200 and type(params.paths) is int
+
+    def test_largest_64_bit_seed_loads_exactly(self):
+        text = json.dumps({"distribution": {"type": "dirac", "matrix": [[1.0]]},
+                           "simulation": {"seed": 2**64 - 1}})
+        assert load_config(text)[1].seed == 2**64 - 1
+
+    @pytest.mark.parametrize("raw, message", [
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        ("x", "seed must be a number, got 'x'"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_refusals(self, raw, message):
+        with pytest.raises(ConfigError) as exc:
+            checked_number(int, "seed", raw, 0)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("raw", [float("nan"), float("inf"), -0.5, 1.5])
+    def test_bounded_float_must_be_finite_and_in_range(self, raw):
+        with pytest.raises(ConfigError, match=r"hold must be in \[0, 1\]"):
+            checked_number(float, "hold", raw, 0, 1)

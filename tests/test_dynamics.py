@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 
@@ -20,6 +21,7 @@ from consensuslab import core
 from consensuslab.analysis import expected_matrix
 from consensuslab.core import MatrixValidationError, registered_generators
 from consensuslab.dynamics import (
+    TrajectoryRecord,
     simulate_paths,
     paths_as_json,
     summarize_modes,
@@ -118,14 +120,6 @@ class TestEstimateModes:
         assert np.all(report.prob_curve >= 0.0) and np.all(report.prob_curve <= 1.0)
         assert np.all(np.diff(report.prob_curve) <= 1e-12)
         assert np.all(np.diff(report.lp_curve) <= 1e-12)
-
-    def test_threads_do_not_change_results(self, gossip3):
-        x0 = np.array([1.0, 0.0, 0.0])
-        serial = run_paths(gossip3, x0, 40, 60, RngPolicy(9), threads=1)
-        threaded = run_paths(gossip3, x0, 40, 60, RngPolicy(9), threads=4)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.diameter, b.diameter)
-            assert np.array_equal(a.final_state, b.final_state)
 
 
 def _per_stream_cases():
@@ -371,12 +365,6 @@ class TestShiftInvariance:
     def test_gossip_shift_five(self, gossip3):
         assert shift_invariance_check(gossip3, np.array([1.0, 0.0, 0.0]), 5.0, 100, seed=3)
 
-    def test_different_seeds_refused(self, gossip3):
-        with pytest.raises(ValueError, match="seed"):
-            shift_invariance_check(
-                gossip3, np.array([1.0, 0.0, 0.0]), 1.0, 10, seed=3, seed_shifted=4
-            )
-
 
 class TestZeroOneProbe:
     def test_gossip_near_one(self, gossip3):
@@ -432,6 +420,32 @@ class TestEmission:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,mean_diameter,p_exceed_eps,max_diameter,lp_mean"
         assert len(lines) == 1 + 7
+
+    def test_csv_bytes_match_csv_module_reference(self):
+        special = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 0.1, 1 / 3])
+        rec = TrajectoryRecord(7, special[:1], special, special[::-1].copy(), special * 3, special)
+        buf = io.StringIO()
+        write_path_csv([rec], buf)
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(("path", "t", "diameter", "disagreement_inf", "disagreement_l2"))
+        for t, row in enumerate(zip(rec.diameter, rec.disagreement_inf, rec.disagreement_l2)):
+            writer.writerow((7, t, *(format(v, ".17g") for v in row)))
+        assert buf.getvalue() == ref.getvalue()
+        fields = set(buf.getvalue().replace("\n", ",").split(","))
+        assert {"-0", "4.9406564584124654e-324", "inf", "-inf", "nan"} <= fields
+        records = self._records()
+        buf = io.StringIO()
+        write_aggregate_csv(records, 1e-3, 1.0, buf)
+        report = summarize_modes(records, 1e-3, 1.0)
+        diam = np.stack([r.diameter for r in records])
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(("t", "mean_diameter", "p_exceed_eps", "max_diameter", "lp_mean"))
+        curves = zip(diam.mean(axis=0), report.prob_curve, diam.max(axis=0), report.lp_curve)
+        for t, row in enumerate(curves):
+            writer.writerow((t, *(format(v, ".17g") for v in row)))
+        assert buf.getvalue() == ref.getvalue()
 
     def test_json_payload(self):
         payload = paths_as_json(self._records())

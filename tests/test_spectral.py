@@ -104,6 +104,12 @@ class TestSpectralRadius:
         assert np.max(np.abs(m)) <= 1e-12
         assert spectral_radius(m) == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_disagreement_update_matches_dense_projector(self, rng, n):
+        a = random_stochastic_matrix(rng, n)
+        dense = make_projections(n).pi_perp @ a.entries
+        assert np.max(np.abs(disagreement_update_matrix(a) - dense)) <= 1e-12
+
 
 class TestDeterministicVerdict:
     def test_zero_diagonal_consensus(self):
