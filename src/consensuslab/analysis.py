@@ -4,7 +4,8 @@ The verdict for a random network rests on the expected update matrix: the
 network reaches consensus (in all three modes at once) exactly when the
 second eigenvalue modulus of that expectation is below 1.  When the
 expectation is only estimated by Monte Carlo, the decision band is widened
-by a bootstrap-propagated uncertainty halfwidth.
+by an uncertainty halfwidth from a bootstrap over batch means.  The draws
+are streamed into running moments, so memory does not grow with their count.
 
 The cross-validation routine runs the spectral decision and the empirical
 mode estimation side by side and records any contradiction verbatim; it
@@ -21,33 +22,41 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    MIN_MC_SAMPLES,
     ConfigError,
     MatrixDistribution,
     RngPolicy,
     StochasticMatrix,
-    block_slices,
+    block_rows,
     companion_block,
-    draw_block,
+    draw_many,
     lift_weights,
     validate_matrix,
 )
 from .dynamics import ModeReport, estimate_modes
 from .spectral import VERDICT_TOL, check_eigen_dimension, classify, second_eigenvalue_modulus
 
-MIN_MC_SAMPLES = 1000
+MC_BATCHES = 100
 BOOTSTRAP_RESAMPLES = 200
 BOOTSTRAP_SIGMA_FACTOR = 3.0
 
 
 @dataclass(frozen=True, eq=False)
 class ExpectedMatrix:
-    """E[A(1)] under the distribution, exact or Monte Carlo estimated."""
+    """E[A(1)] under the distribution, exact or Monte Carlo estimated.
+
+    ``positive_diagonal_support`` says whether every matrix of the support
+    (for a generator: every draw) has a positive diagonal.  A Monte Carlo
+    estimate also keeps the sum of the draws of each of its ``MC_BATCHES``
+    consecutive batches, for the bootstrap.
+    """
 
     matrix: StochasticMatrix
     exact: bool
     sample_count: int
     entry_standard_error: float
-    samples: Optional[np.ndarray] = field(default=None, repr=False)
+    positive_diagonal_support: bool
+    batch_sums: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 @dataclass(eq=False)
@@ -81,56 +90,81 @@ def expected_matrix(
     """Mixture average for finite support, sample mean for generators.
 
     A convex combination of stochastic matrices is stochastic, so the result
-    is validated against the same tolerances as any input matrix.
+    is validated against the same tolerances as any input matrix.  A
+    generator's draws are made and validated in slices that fit
+    ``core.BLOCK_BYTES`` and lie within one batch; batch k holds draws
+    ``[k*mc//MC_BATCHES, (k+1)*mc//MC_BATCHES)``.  Each slice is folded into
+    its batch's sum, a running mean and second moment (Chan's merge) and the
+    running minimum of the diagonal, and then dropped.  The estimate is the
+    sum of the batch sums over ``mc_samples``.
     """
     if dist.kind == "dirac":
-        return ExpectedMatrix(dist.matrix, exact=True, sample_count=0, entry_standard_error=0.0)
+        return ExpectedMatrix(dist.matrix, exact=True, sample_count=0, entry_standard_error=0.0,
+                              positive_diagonal_support=dist.matrix.has_positive_diagonal())
     if dist.kind == "finite":
         mean = sum(p * m.entries for p, m in dist.atoms)
-        return ExpectedMatrix(
-            validate_matrix(mean), exact=True, sample_count=0, entry_standard_error=0.0
-        )
+        positive = all(m.has_positive_diagonal() for p, m in dist.atoms if p > 0)
+        return ExpectedMatrix(validate_matrix(mean), exact=True, sample_count=0,
+                              entry_standard_error=0.0, positive_diagonal_support=positive)
     if mc_samples < MIN_MC_SAMPLES:
         raise ConfigError(
             f"generator expectation needs mc_samples >= {MIN_MC_SAMPLES}, got {mc_samples}"
         )
     if rng is None:
         raise ConfigError("generator expectation needs an RNG")
-    draws = np.empty((mc_samples, dist.n, dist.n))
-    for sl in block_slices(mc_samples, dist.n):
-        draw_block(dist, [rng] * (sl.stop - sl.start), draws[sl])
-    mean = draws.mean(axis=0)
-    se = float(draws.std(axis=0, ddof=1).max() / np.sqrt(mc_samples))
+    n = dist.n
+    counts = _batch_counts(mc_samples)
+    sums = np.zeros((MC_BATCHES, n, n))
+    mean, m2 = np.zeros((n, n)), np.zeros((n, n))
+    diagonal_min = np.full(n, np.inf)
+    step = block_rows(n)
+    buffer = np.empty((min(step, counts.max()), n, n))
+    seen = 0
+    for k, count in enumerate(counts):
+        for start in range(0, count, step):
+            draws = buffer[: min(step, count - start)]
+            draw_many(dist, rng, draws)
+            diagonal_min = np.minimum(diagonal_min, draws.diagonal(axis1=1, axis2=2).min(axis=0))
+            total = draws.sum(axis=0)
+            sums[k] += total
+            # Chan's merge of the slice's mean and centred second moment
+            size = len(draws)
+            slice_mean = total / size
+            delta = slice_mean - mean
+            seen += size
+            mean += delta * (size / seen)
+            draws -= slice_mean
+            m2 += np.square(draws, out=draws).sum(axis=0) + delta**2 * ((seen - size) * size / seen)
+    se = float(np.sqrt(m2.max() / (mc_samples - 1)) / np.sqrt(mc_samples))
     return ExpectedMatrix(
-        validate_matrix(mean),
+        validate_matrix(sums.sum(axis=0) / mc_samples),
         exact=False,
         sample_count=mc_samples,
         entry_standard_error=se,
-        samples=draws,
+        positive_diagonal_support=bool(np.all(diagonal_min > 0.0)),
+        batch_sums=sums,
     )
 
 
-def _positive_diagonal_support(dist: MatrixDistribution, samples: Optional[np.ndarray]) -> bool:
-    if dist.kind == "dirac":
-        return dist.matrix.has_positive_diagonal()
-    if dist.kind == "finite":
-        return all(m.has_positive_diagonal() for p, m in dist.atoms if p > 0)
-    assert samples is not None
-    diag = samples[:, np.arange(dist.n), np.arange(dist.n)]
-    return bool(np.all(diag > 0.0))
+def _batch_counts(mc_samples: int) -> np.ndarray:
+    """Draws per batch: batch k holds draws [k*mc//MC_BATCHES, (k+1)*mc//MC_BATCHES)."""
+    return np.diff([k * mc_samples // MC_BATCHES for k in range(MC_BATCHES + 1)])
 
 
-def _bootstrap_halfwidth(samples: np.ndarray, rng: np.random.Generator) -> float:
-    """Spread of |lambda_2| under resampling of the Monte Carlo draws.
+def _bootstrap_halfwidth(em: ExpectedMatrix, rng: np.random.Generator) -> float:
+    """Spread of |lambda_2| under resampling of the Monte Carlo batches.
 
-    Eigenvalues are smooth but not linear in the entries, so the uncertainty
-    is propagated by resampling rather than perturbation theory.
+    Each resample draws MC_BATCHES batches with replacement and pools them:
+    the sum of their sums over the sum of their counts.  Eigenvalues are
+    smooth but not linear in the entries, so the uncertainty is propagated
+    by resampling rather than perturbation theory.
     """
-    m = samples.shape[0]
+    counts = _batch_counts(em.sample_count)
     values = np.empty(BOOTSTRAP_RESAMPLES)
     for b in range(BOOTSTRAP_RESAMPLES):
-        idx = rng.integers(m, size=m)
-        values[b] = second_eigenvalue_modulus(validate_matrix(samples[idx].mean(axis=0)))
+        idx = rng.integers(MC_BATCHES, size=MC_BATCHES)
+        mean = em.batch_sums[idx].sum(axis=0) / counts[idx].sum()
+        values[b] = second_eigenvalue_modulus(validate_matrix(mean))
     return float(BOOTSTRAP_SIGMA_FACTOR * values.std(ddof=1))
 
 
@@ -140,18 +174,18 @@ def random_verdict(
     rng: Optional[np.random.Generator] = None,
     tol: float = VERDICT_TOL,
 ) -> ConsensusVerdict:
-    """Spectral consensus decision from the (possibly estimated) expectation."""
+    """Spectral consensus decision from the (possibly estimated) expectation.
+
+    The bootstrap draws its resamples from ``rng`` after the Monte Carlo draws.
+    """
     check_eigen_dimension(dist.n)  # before the Monte Carlo draws, which grow with n^2
     em = expected_matrix(dist, mc_samples=mc_samples, rng=rng)
     lam2 = second_eigenvalue_modulus(em.matrix)
-    if em.exact:
-        halfwidth = 0.0
-    else:
-        halfwidth = _bootstrap_halfwidth(em.samples, rng)
+    halfwidth = 0.0 if em.exact else _bootstrap_halfwidth(em, rng)
     return ConsensusVerdict(
         lambda2_modulus=lam2,
         decision=classify(lam2, tol + halfwidth),
-        positive_diagonal_support=_positive_diagonal_support(dist, em.samples),
+        positive_diagonal_support=em.positive_diagonal_support,
         uncertainty_halfwidth=halfwidth,
     )
 

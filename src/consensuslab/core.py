@@ -141,8 +141,11 @@ def checked_number(
 # --- parametric generators -------------------------------------------------
 
 # name -> factory(params) returning (n, sampler); sampler(rng) yields one raw
-# matrix which is then re-validated on every draw.
-GeneratorFactory = Callable[[dict], tuple[int, Callable[[np.random.Generator], np.ndarray]]]
+# matrix which is then re-validated on every draw.  A sampler may carry a
+# `bulk(rng, out)` attribute that fills a (count, n, n) block with the bits
+# of count consecutive sampler(rng) calls and leaves rng in the same state.
+Sampler = Callable[[np.random.Generator], np.ndarray]
+GeneratorFactory = Callable[[dict], tuple[int, Sampler]]
 
 _GENERATORS: dict[str, GeneratorFactory] = {}
 
@@ -191,6 +194,10 @@ def _dirichlet_rows(params: dict):
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.dirichlet(conc, size=n)
 
+    def draw_bulk(rng: np.random.Generator, out: np.ndarray) -> None:
+        out[:] = rng.dirichlet(conc, size=(len(out), n))
+
+    draw.bulk = draw_bulk
     return n, draw
 
 
@@ -268,9 +275,7 @@ class MatrixDistribution:
     atoms: Optional[tuple[tuple[float, StochasticMatrix], ...]] = None
     name: Optional[str] = None
     params: Optional[dict] = None
-    _draw: Optional[Callable[[np.random.Generator], np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
+    _draw: Optional[Sampler] = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def dirac(matrix: StochasticMatrix) -> "MatrixDistribution":
@@ -359,9 +364,14 @@ def sample(dist: MatrixDistribution, rng: np.random.Generator) -> StochasticMatr
 BLOCK_BYTES = 1 << 22
 
 
+def block_rows(n: int) -> int:
+    """How many n x n float matrices fit BLOCK_BYTES; at least one."""
+    return max(1, BLOCK_BYTES // (8 * n * n))
+
+
 def block_slices(count: int, n: int) -> list[slice]:
     """Consecutive slices of range(count) whose (len, n, n) float blocks fit BLOCK_BYTES."""
-    step = max(1, BLOCK_BYTES // (8 * n * n))
+    step = block_rows(n)
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
@@ -382,12 +392,32 @@ def draw_block(
     validate_block(out)
 
 
+def draw_many(dist: MatrixDistribution, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out[j]`` with the j-th consecutive draw of generator ``dist`` from ``rng``; validate.
+
+    A sampler with a ``bulk`` attribute draws the whole block in one call,
+    with the bits of one-at-a-time draws.  Without one, the draws are made
+    one at a time through :func:`draw_block`, which raises the error that
+    one-by-one :func:`sample` calls would.
+    """
+    bulk = getattr(dist._draw, "bulk", None)
+    if bulk is None:
+        draw_block(dist, [rng] * len(out), out)
+        return
+    try:
+        bulk(rng, out)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise ConfigError(f"generator {dist.name!r} failed: {exc}") from exc
+    validate_block(out)
+
+
 # --- seeded stream derivation ----------------------------------------------
 
 _STREAM_PATHS = 0
 _STREAM_X0 = 1
 _STREAM_EXPECTATION = 2
-_STREAM_BOOTSTRAP = 3
 
 
 @dataclass(frozen=True)
@@ -414,11 +444,22 @@ class RngPolicy:
     def expectation_stream(self) -> np.random.Generator:
         return self._stream(_STREAM_EXPECTATION, 0)
 
-    def bootstrap_stream(self) -> np.random.Generator:
-        return self._stream(_STREAM_BOOTSTRAP, 0)
-
 
 # --- configuration ---------------------------------------------------------
+
+MAX_SEED = 2**64 - 1
+# Monte Carlo draws of a generator expectation: enough for the bootstrap's
+# batch means, and few enough that a run ends.
+MIN_MC_SAMPLES = 1000
+MAX_MC_SAMPLES = 10**9
+
+
+def checked_seed(raw: Any) -> int:
+    """A master seed: an integer in [0, 2^64 - 1], the documented 64-bit contract."""
+    seed = checked_number(int, "seed", raw, 0)
+    if seed > MAX_SEED:
+        raise ConfigError(f"seed must be below 2^64, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -427,7 +468,9 @@ class RunParams:
 
     Every number, ``x0`` entries included, passes :func:`checked_number`
     on construction, so config values and flag overrides (applied with
-    ``dataclasses.replace``) pass the same checks.
+    ``dataclasses.replace``) pass the same checks.  The seed must fit 64
+    bits, and ``mc_samples`` lies in [MIN_MC_SAMPLES, MAX_MC_SAMPLES]
+    whatever the distribution, before anything is drawn.
     """
 
     paths: int = 200
@@ -439,12 +482,16 @@ class RunParams:
     mc_samples: int = 10000
 
     def __post_init__(self) -> None:
-        # mc_samples has no bound here: it is checked where it is used
-        rules = (("paths", int, 1), ("horizon", int, 1), ("seed", int, 0),
-                 ("mc_samples", int, None), ("eps", float, 0), ("p", float, 1))
+        rules = (("paths", int, 1), ("horizon", int, 1), ("mc_samples", int, MIN_MC_SAMPLES),
+                 ("eps", float, 0), ("p", float, 1))
         for name, kind, low in rules:
             value = checked_number(kind, name, getattr(self, name), low, strict=name == "eps")
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", checked_seed(self.seed))
+        if self.mc_samples > MAX_MC_SAMPLES:
+            raise ConfigError(
+                f"run too large for memory: mc_samples {self.mc_samples} exceeds {MAX_MC_SAMPLES}"
+            )
         if isinstance(self.x0, (list, tuple)):
             for i, value in enumerate(self.x0):
                 checked_number(float, f"x0[{i}]", value)

@@ -12,7 +12,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .analysis import lift_second_order
-from .core import MatrixDistribution, RngPolicy, checked_number, sample, validate_matrix
+from .core import (
+    MatrixDistribution,
+    RngPolicy,
+    checked_number,
+    checked_seed,
+    sample,
+    validate_matrix,
+)
 from .dynamics import simulate_path
 from .projection import diameter, disagreement, make_projections
 from .spectral import second_eigenvalue_modulus, spectral_radius
@@ -188,7 +195,7 @@ PROPERTIES: dict[str, Callable[[int, int, int], int]] = {
 def run_selfcheck(n_max: int = 8, trials: int = 50, seed: int = 0) -> list[PropertyResult]:
     trials = checked_number(int, "trials", trials, 1)
     n_max = checked_number(int, "n_max", n_max, 2)
-    seed = checked_number(int, "seed", seed, 0)
+    seed = checked_seed(seed)
     results = []
     for name, check in PROPERTIES.items():
         try:

@@ -59,12 +59,13 @@ def eigen_spectrum(m: np.ndarray) -> Spectrum:
     try:
         values, vectors = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigen-decomposition did not converge for {m!r}") from exc
+        raise NumericalError(f"eigen-decomposition did not converge for a {n}x{n} matrix") from exc
     residual = float(np.max(np.abs(m @ vectors - vectors * values)))
     scale = max(float(np.abs(m).sum(axis=1).max()), 1e-30)
     if residual > RESIDUAL_REL_TOL * scale:
         raise NumericalError(
-            f"eigen residual {residual!r} exceeds {RESIDUAL_REL_TOL} * ||M|| for {m!r}"
+            f"eigen residual {residual!r} exceeds {RESIDUAL_REL_TOL} * ||M|| = "
+            f"{RESIDUAL_REL_TOL * scale!r} for a {n}x{n} matrix"
         )
     order = sorted(
         range(n),

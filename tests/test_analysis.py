@@ -1,3 +1,7 @@
+import itertools
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +17,10 @@ from consensuslab import (
     sample,
     validate_matrix,
 )
-from consensuslab.core import companion_block
+from consensuslab import core
+from consensuslab.analysis import BOOTSTRAP_RESAMPLES, BOOTSTRAP_SIGMA_FACTOR, MC_BATCHES
+from consensuslab.core import MatrixValidationError, companion_block, draw_many
+from consensuslab.spectral import second_eigenvalue_modulus
 
 from conftest import random_stochastic
 
@@ -218,3 +225,117 @@ class TestLiftSecondOrder:
                 assert np.max(np.abs(y[:n] - x_next)) <= 1e-10
                 assert np.max(np.abs(y[n:] - x_prev1)) <= 1e-10
                 x_prev2, x_prev1 = x_prev1, x_next
+
+
+def _generator_cases():
+    dirichlet3 = {"distribution": {"type": "generator", "name": "dirichlet_rows",
+                                   "params": {"n": 3, "alpha": 0.5}}}
+    gossip3 = {"distribution": {"type": "generator", "name": "pairwise_gossip",
+                                "params": {"n": 3}}}
+    return {
+        "pairwise_gossip": {"n": 5},
+        "dirichlet_rows": {"n": 2, "alpha": 0.5},
+        "lazy_permutation": {"n": 4},
+        "lifted_pair": {"alpha": 0.5, "beta": 0.5, "dist_a": dirichlet3, "dist_b": gossip3},
+    }
+
+
+def _full_bootstrap_halfwidth(dist, mc, seed):
+    """The bootstrap over every stored draw that the batch-means bootstrap replaced."""
+    rng = np.random.default_rng(seed)
+    draws = np.empty((mc, dist.n, dist.n))
+    draw_many(dist, rng, draws)
+    values = [
+        second_eigenvalue_modulus(validate_matrix(draws[rng.integers(mc, size=mc)].mean(axis=0)))
+        for _ in range(BOOTSTRAP_RESAMPLES)
+    ]
+    return BOOTSTRAP_SIGMA_FACTOR * np.std(values, ddof=1)
+
+
+class TestStreamedMonteCarlo:
+    @pytest.mark.parametrize("slice_matrices", [None, 3])
+    @pytest.mark.parametrize("mc", [1000, 2345])
+    @pytest.mark.parametrize("name", sorted(_generator_cases()))
+    def test_moments_match_stored_draws(self, name, mc, slice_matrices, monkeypatch):
+        dist = MatrixDistribution.generator(name, _generator_cases()[name])
+        if slice_matrices is not None:
+            monkeypatch.setattr(core, "BLOCK_BYTES", slice_matrices * 8 * dist.n**2)
+        em = expected_matrix(dist, mc_samples=mc, rng=np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        draws = np.stack([sample(dist, rng).entries for _ in range(mc)])
+        # an exactly rounded mean: numpy's axis-0 mean of the draws is off by up to 2e-15
+        exact = np.array([[math.fsum(draws[:, i, j]) / mc for j in range(dist.n)]
+                          for i in range(dist.n)])
+        assert np.max(np.abs(em.matrix.entries - exact)) <= 1e-15
+        se = draws.std(axis=0, ddof=1).max() / np.sqrt(mc)
+        assert em.entry_standard_error == pytest.approx(se, rel=1e-12, abs=0)
+        diagonal = draws[:, np.arange(dist.n), np.arange(dist.n)]
+        assert em.positive_diagonal_support == bool(np.all(diagonal > 0.0))
+        bounds = [k * mc // MC_BATCHES for k in range(MC_BATCHES + 1)]
+        batch_sums = np.stack([draws[a:b].sum(axis=0) for a, b in itertools.pairwise(bounds)])
+        assert np.max(np.abs(em.batch_sums - batch_sums)) <= 1e-12
+        assert not hasattr(em, "samples")
+
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_bad_draw_in_second_slice_reported(self, bulk, monkeypatch):
+        n, bad_index = 3, 4  # three draws per slice: draw 4 is in the second
+
+        def spoil(m):
+            m[1, 1] += 0.25
+
+        def factory(params):
+            count = itertools.count()
+
+            def draw(rng):
+                m = np.eye(n)
+                if next(count) == bad_index:
+                    spoil(m)
+                return m
+
+            def draw_bulk(rng, out):
+                out[:] = np.eye(n)
+                for m in out:
+                    if next(count) == bad_index:
+                        spoil(m)
+
+            if bulk:
+                draw.bulk = draw_bulk
+            return n, draw
+
+        monkeypatch.setitem(core._GENERATORS, "spoiled", factory)
+        monkeypatch.setattr(core, "BLOCK_BYTES", 3 * 8 * n**2)
+        bad = np.eye(n)
+        spoil(bad)
+        with pytest.raises(MatrixValidationError) as expected:
+            validate_matrix(bad)
+        dist = MatrixDistribution.generator("spoiled", {})
+        with pytest.raises(MatrixValidationError) as err:
+            expected_matrix(dist, mc_samples=1000, rng=np.random.default_rng(0))
+        assert str(err.value) == str(expected.value)
+        assert str(err.value).startswith("row 1 sums to 1.25")
+
+    @pytest.mark.parametrize("name, params", [
+        ("dirichlet_rows", {"n": 4, "alpha": 0.5}),
+        ("lazy_permutation", {"n": 4}),
+        ("pairwise_gossip", {"n": 4}),
+    ])
+    def test_batch_means_halfwidth_tracks_full_bootstrap(self, name, params):
+        dist = MatrixDistribution.generator(name, params)
+        mc = 2000
+        ratios = [
+            random_verdict(dist, mc_samples=mc, rng=np.random.default_rng(seed)).uncertainty_halfwidth
+            / _full_bootstrap_halfwidth(dist, mc, seed)
+            for seed in range(20)
+        ]
+        assert 0.85 <= np.median(ratios) <= 1.2
+
+    def test_memory_does_not_grow_with_sample_count(self):
+        dist = MatrixDistribution.generator("dirichlet_rows", {"n": 8, "alpha": 1.0})
+        tracemalloc.start()
+        try:
+            expected_matrix(dist, mc_samples=200_000, rng=np.random.default_rng(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 200k draws alone would take 102 MB
+        assert peak < 16 * 2**20

@@ -223,6 +223,19 @@ def _dirichlet3(alpha):
                      "run too large for memory", id="huge_horizon"),
         pytest.param(GOSSIP_CONFIG, ["verdict", "--mc-samples", str(10**16)],
                      "run too large for memory", id="huge_mc_samples"),
+        # bounded before any draw, whatever the distribution kind
+        pytest.param(IDENTITY_CONFIG, ["verdict", "--mc-samples", "-5"],
+                     "mc_samples must be >= 1000, got -5", id="dirac_negative_mc_samples"),
+        pytest.param(MIXTURE_CONFIG, ["modes", "--mc-samples", "999"],
+                     "mc_samples must be >= 1000, got 999", id="finite_mc_samples_999"),
+        pytest.param(dict(GOSSIP_CONFIG, simulation={"mc_samples": 10**9 + 1}), ["verdict"],
+                     "run too large for memory: mc_samples 1000000001", id="mc_samples_above_1e9"),
+        pytest.param(GOSSIP_CONFIG, ["simulate", "--seed", "99999999999999999999999"],
+                     "seed must be below 2^64, got 99999999999999999999999", id="seed_above_2_64"),
+        pytest.param(dict(IDENTITY_CONFIG, simulation={"seed": 2**64}), ["verdict"],
+                     f"seed must be below 2^64, got {2**64}", id="config_seed_2_64"),
+        pytest.param(None, ["selfcheck", "--seed", str(2**64)],
+                     f"seed must be below 2^64, got {2**64}", id="selfcheck_seed_2_64"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(doc, argv, named, tmp_path, capsys):
@@ -233,6 +246,25 @@ def test_bad_input_exits_2_with_one_line(doc, argv, named, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: ") and named in err
+
+
+def test_eigen_failure_exits_3_with_a_short_line(tmp_path, monkeypatch, capsys):
+    n = 64
+    cfg = tmp_path / "dirac64.json"
+    cfg.write_text(json.dumps({"n": n, "distribution": {"type": "dirac",
+                                                       "matrix": np.eye(n).tolist()}}))
+    eig = np.linalg.eig
+
+    def failing_eig(m):
+        if np.shape(m) == (n, n):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(m)
+
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    assert main(["deterministic", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+    assert err.startswith("numerical failure: ") and f"{n}x{n}" in err
 
 
 # every flag a command accepted before without reading it

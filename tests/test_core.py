@@ -14,6 +14,7 @@ from consensuslab import (
 from consensuslab.core import (
     MatrixValidationError,
     checked_number,
+    draw_many,
     pick_atoms,
     registered_generators,
     resolve_x0,
@@ -302,3 +303,41 @@ class TestCheckedNumbers:
     def test_bounded_float_must_be_finite_and_in_range(self, raw):
         with pytest.raises(ConfigError, match=r"hold must be in \[0, 1\]"):
             checked_number(float, "hold", raw, 0, 1)
+
+
+_LIFTED = {"alpha": 0.5, "beta": 0.5,
+           "dist_a": {"distribution": {"type": "generator", "name": "dirichlet_rows",
+                                       "params": {"n": 3, "alpha": 0.5}}},
+           "dist_b": {"distribution": {"type": "generator", "name": "pairwise_gossip",
+                                       "params": {"n": 3}}}}
+# generators with a bulk sampler, and those that draw one at a time
+_BULK_CASES = {f"dirichlet_n{n}_alpha{a}": ("dirichlet_rows", {"n": n, "alpha": a})
+               for a in (0.05, 1.0, 3.0) for n in (2, 16)}
+_LOOP_CASES = {**{f"gossip_n{n}": ("pairwise_gossip", {"n": n}) for n in (2, 3, 10)},
+               "lazy_permutation_n4": ("lazy_permutation", {"n": 4}),
+               "lifted_pair": ("lifted_pair", _LIFTED)}
+
+
+class TestDrawMany:
+    @pytest.mark.parametrize("case", [*_BULK_CASES, *_LOOP_CASES])
+    def test_bits_and_stream_match_one_draw_at_a_time(self, case):
+        name, params = {**_BULK_CASES, **_LOOP_CASES}[case]
+        dist = MatrixDistribution.generator(name, params)
+        assert hasattr(dist._draw, "bulk") == (case in _BULK_CASES)
+        bulk_rng, loop_rng = np.random.default_rng(29), np.random.default_rng(29)
+        out = np.empty((257, dist.n, dist.n))
+        draw_many(dist, bulk_rng, out)
+        expected = np.stack([sample(dist, loop_rng).entries for _ in range(len(out))])
+        assert np.array_equal(out, expected)
+        assert bulk_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert bulk_rng.random() == loop_rng.random()
+
+    def test_bulk_failure_is_a_config_error(self, monkeypatch):
+        dist = MatrixDistribution.generator("dirichlet_rows", {"n": 2})
+
+        def broken(rng, out):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(dist._draw, "bulk", broken)
+        with pytest.raises(ConfigError, match="generator 'dirichlet_rows' failed: boom"):
+            draw_many(dist, np.random.default_rng(0), np.empty((4, 2, 2)))
