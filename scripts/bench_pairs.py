@@ -15,12 +15,16 @@ ruling below is defined for.
 The output, BENCH_<label>.json at the root of the checkout, holds per
 workload and end-to-end metric each side's median, quartiles and every run's
 value, the number of pairs the change won (ties count for neither side),
-and two rulings:
+and three rulings:
 
 - `gain_shown`: the change won at least 9 of every 10 pairs and the medians
   differ by more than the parent's interquartile range;
 - `within_bound`: the change's median is no worse than the parent's by more
-  than the metric's bound (a fraction of the parent's median).
+  than the metric's bound (a fraction of the parent's median);
+- `unresolved`: the runs spread too widely to tell: the wider of the two
+  sides' interquartile ranges exceeds the bound, and the ranges of the two
+  sides' runs overlap (had every change run beaten every parent run, or
+  lost to it, the order would be plain whatever the spread).
 
 It also records each side's failed and attempted invocations, the
 environment perfbench reports, and a digest of each side's files (see
@@ -114,11 +118,15 @@ def compare(runs: dict[str, list[float]], spec: dict) -> dict:
     wins = sum(sign * c < sign * p for p, c in zip(runs["parent"], runs["change"]))
     gap = sign * (parent["median"] - change["median"])
     pairs = len(runs["change"])
+    bound = spec["bound"] * abs(parent["median"])
+    spread = max(side["q3"] - side["q1"] for side in (parent, change))
+    overlap = max(map(min, runs.values())) <= min(map(max, runs.values()))
     return {
         "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
         "parent": parent, "change": change, "change_wins": wins, "pairs": pairs,
         "gain_shown": 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"],
-        "within_bound": -gap <= spec["bound"] * abs(parent["median"]),
+        "within_bound": -gap <= bound,
+        "unresolved": spread > bound and overlap,
     }
 
 
@@ -193,7 +201,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"[{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}]  change "
                   f"{m['change']['median']:12.6g}  wins {m['change_wins']}/{m['pairs']}"
                   f"{'  GAIN' if m['gain_shown'] else ''}"
-                  f"{'' if m['within_bound'] else '  WORSE THAN BOUND'}")
+                  f"{'' if m['within_bound'] else '  WORSE THAN BOUND'}"
+                  f"{'  UNRESOLVED' if m['unresolved'] else ''}")
     print(f"wrote {path}")
     return 0
 

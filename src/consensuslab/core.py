@@ -144,6 +144,11 @@ def checked_number(
 # matrix which is then re-validated on every draw.  A sampler may carry a
 # `bulk(rng, out)` attribute that fills a (count, n, n) block with the bits
 # of count consecutive sampler(rng) calls and leaves rng in the same state.
+# A sampler whose draw is one integer choice may instead carry `picks(rng,
+# count)`, the choices of count consecutive sampler(rng) calls (same bits,
+# same rng state after), and `from_picks(k, out)`, which writes the matrices
+# of choices k into a (len(k), n, n) block; the engine draws a path's whole
+# horizon of picks up front, as it does a finite distribution's atom picks.
 Sampler = Callable[[np.random.Generator], np.ndarray]
 GeneratorFactory = Callable[[dict], tuple[int, Sampler]]
 
@@ -173,7 +178,8 @@ def _param(params: dict, key: str, kind: type, low, high=None, *, default=None, 
 @_register("pairwise_gossip")
 def _pairwise_gossip(params: dict):
     n = _param(params, "n", int, 2)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    first, second = np.triu_indices(n, 1)
+    pairs = list(zip(first.tolist(), second.tolist()))  # scalar indexing is faster on a list
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         i, j = pairs[rng.integers(len(pairs))]
@@ -182,6 +188,15 @@ def _pairwise_gossip(params: dict):
         m[i, j] = m[j, i] = 0.5
         return m
 
+    def picks(rng: np.random.Generator, count: int) -> np.ndarray:
+        return rng.integers(len(pairs), size=count)
+
+    def from_picks(k: np.ndarray, out: np.ndarray) -> None:
+        i, j, item = first[k], second[k], np.arange(len(k))
+        out[:] = np.eye(n)
+        out[item, i, i] = out[item, j, j] = out[item, i, j] = out[item, j, i] = 0.5
+
+    draw.picks, draw.from_picks = picks, from_picks
     return n, draw
 
 

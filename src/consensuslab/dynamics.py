@@ -15,7 +15,15 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .core import MatrixDistribution, RngPolicy, block_slices, draw_block, pick_atoms
+from . import core
+from .core import (
+    MatrixDistribution,
+    RngPolicy,
+    block_slices,
+    draw_block,
+    pick_atoms,
+    validate_block,
+)
 from .spectral import NumericalError
 
 MONOTONICITY_SLACK = 1e-12
@@ -82,12 +90,14 @@ def simulate_paths(
     """Iterate the network on every path at once, one i.i.d. draw per path and step.
 
     Path k draws only from ``rngs[k]``, in the order one-path-at-a-time
-    sampling would: a finite distribution's whole horizon of uniforms in one
-    call, a generator one draw per step.  So its record does not depend on
-    which other paths run alongside it.  Each step applies the drawn
-    matrices as stacked matrix-vector products, over path slices whose
-    matrix block fits ``core.BLOCK_BYTES``; every generator draw is
-    validated.
+    sampling would.  A finite distribution's whole horizon of uniforms, and
+    a generator's whole horizon of picks when its sampler has the
+    ``picks``/``from_picks`` hooks (``pairwise_gossip``), are drawn in one
+    call per path; any other generator draws once per step.  So a record
+    does not depend on which other paths run alongside it.  Each step
+    applies the drawn matrices as stacked matrix-vector products, over path
+    slices whose matrix block fits ``core.BLOCK_BYTES``; every generator
+    draw is validated.
 
     The diameter is checked for monotone decrease at every step (1e-12
     slack for floating-point reassociation); a violation means a broken
@@ -99,42 +109,32 @@ def simulate_paths(
     which is checked here instead.  A diagnostic that overflows to a
     non-finite value raises too.
     """
-    x0 = np.asarray(x0, dtype=float)
+    return _simulate(dist, x0, _new_series(len(rngs), horizon), rngs, path_ids)
+
+
+def _new_series(paths: int, horizon: int) -> np.ndarray:
+    """The (3, paths, horizon + 1) diagnostic series: diameter and both disagreement norms."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    return np.empty((3, paths, horizon + 1))
+
+
+def _simulate(
+    dist: MatrixDistribution,
+    x0: np.ndarray,
+    series: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    path_ids: Sequence[int],
+) -> list[TrajectoryRecord]:
+    """:func:`simulate_paths`, filling ``series``."""
+    x0 = np.asarray(x0, dtype=float)
     if x0.shape != (dist.n,):
         raise ValueError(f"x0 must have length {dist.n}, got shape {x0.shape}")
-    x = np.tile(x0, (len(rngs), 1))
-    series = np.empty((3, len(rngs), horizon + 1))
-    diam, dis_inf, dis_l2 = series
-    slices = block_slices(len(rngs), dist.n)
-    if dist.kind == "finite":
-        atoms = np.stack([m.entries for _, m in dist.atoms])
-        probs = [p for p, _ in dist.atoms]
-        picks = pick_atoms(probs, np.stack([rng.random(horizon) for rng in rngs]))
-    elif dist.kind == "generator":
-        drawn = np.empty((slices[0].stop, dist.n, dist.n))
-    # overflow is reported by _check_series as a NumericalError instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(horizon + 1):
-            if t > 0:
-                for sl in slices:
-                    if dist.kind == "dirac":
-                        block = dist.matrix.entries
-                    elif dist.kind == "finite":
-                        block = atoms[picks[sl, t - 1]]
-                    else:
-                        block = drawn[: sl.stop - sl.start]
-                        draw_block(dist, rngs[sl], block)
-                    # one gemv per stacked item: the bits of a @ x[k]
-                    x[sl] = np.matmul(block, x[sl, :, None])[:, :, 0]
-            d = x - x.mean(axis=1, keepdims=True)
-            diam[:, t] = x.max(axis=1) - x.min(axis=1)
-            dis_inf[:, t] = np.abs(d).max(axis=1)
-            # vecdot is the BLAS dot np.linalg.norm uses on one vector
-            dis_l2[:, t] = np.sqrt(np.vecdot(d, d))
+    x = np.tile(x0, (series.shape[1], 1))
+    _iterate(dist, x, rngs, series)
     _check_series(series, path_ids)
     series.setflags(write=False)
+    diam, dis_inf, dis_l2 = series
     return [
         TrajectoryRecord(
             path_id=path_id,
@@ -146,6 +146,77 @@ def simulate_paths(
         )
         for k, path_id in enumerate(path_ids)
     ]
+
+
+def _iterate(
+    dist: MatrixDistribution,
+    x: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    series: np.ndarray,
+) -> None:
+    """Step the (paths, n) states ``x`` in place, ``series`` taking their diagnostics.
+
+    The picks and the chunk buffers live only here, so they are freed
+    before the series is checked.
+    """
+    paths, horizon = series.shape[1], series.shape[2] - 1
+    n = dist.n
+    slices = block_slices(paths, n)
+    from_picks = getattr(dist._draw, "from_picks", None)
+    if dist.kind == "finite":
+        atoms = np.stack([m.entries for _, m in dist.atoms])
+        probs = [p for p, _ in dist.atoms]
+        picks = pick_atoms(probs, np.stack([rng.random(horizon) for rng in rngs]))
+    elif from_picks is not None:
+        picks = np.empty((paths, horizon), dtype=np.intp)
+        for k, rng in enumerate(rngs):  # filled in place: no second (paths, horizon) copy
+            picks[k] = dist._draw.picks(rng, horizon)
+    if dist.kind == "generator":
+        drawn = np.empty((slices[0].stop, n, n))
+    # each step's states, path-major and time-innermost, in chunks of span
+    # steps whose buffers take 1/32 of BLOCK_BYTES each
+    span = min(horizon + 1, max(1, core.BLOCK_BYTES // (32 * 8 * paths * n)))
+    states = np.empty((paths, span, n))
+    states_t = np.empty((paths, n, span))
+    # overflow is reported by _check_series as a NumericalError instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(horizon + 1):
+            if t > 0:
+                for sl in slices:
+                    if dist.kind == "dirac":
+                        block = dist.matrix.entries
+                    elif dist.kind == "finite":
+                        block = atoms[picks[sl, t - 1]]
+                    else:
+                        block = drawn[: sl.stop - sl.start]
+                        if from_picks is None:
+                            draw_block(dist, rngs[sl], block)
+                        else:
+                            from_picks(picks[sl, t - 1], block)
+                            validate_block(block)
+                    # one gemv per stacked item: the bits of a @ x[k]
+                    x[sl] = np.matmul(block, x[sl, :, None])[:, :, 0]
+            j = t % span
+            states[:, j] = x
+            states_t[:, :, j] = x
+            if j == span - 1 or t == horizon:
+                _diagnose(states[:, : j + 1], states_t[:, :, : j + 1], series[:, :, t - j : t + 1])
+
+
+def _diagnose(states: np.ndarray, states_t: np.ndarray, out: np.ndarray) -> None:
+    """Diameter and disagreement norms of a chunk of steps, into ``out`` (3, paths, span).
+
+    ``states`` is (paths, span, n) and ``states_t`` the same values as
+    (paths, n, span).  The mean and the dot stay path-major, with the bits
+    of one state at a time; max and min are exact, so they run on the
+    time-innermost copy, where each is elementwise over n rows.
+    """
+    mean = states.mean(axis=2)
+    out[0] = states_t.max(axis=1) - states_t.min(axis=1)
+    out[1] = np.abs(states_t - mean[:, None, :]).max(axis=1)
+    d = states - mean[:, :, None]
+    # vecdot is the BLAS dot np.linalg.norm uses on one vector
+    out[2] = np.sqrt(np.vecdot(d, d))
 
 
 def _check_series(series: np.ndarray, path_ids: Sequence[int]) -> None:
@@ -190,8 +261,11 @@ def run_paths(
     """
     if paths < 1:
         raise ValueError(f"paths must be >= 1, got {paths}")
+    # allocated first: a run too large for memory fails here, not after
+    # deriving one stream per path
+    series = _new_series(paths, horizon)
     rngs = [policy.path_stream(k) for k in range(paths)]
-    return simulate_paths(dist, x0, horizon, rngs, range(paths))
+    return _simulate(dist, x0, series, rngs, range(paths))
 
 
 def summarize_modes(
@@ -273,10 +347,12 @@ def write_path_csv(records: Sequence[TrajectoryRecord], fh: IO[str]) -> None:
     """Long-format per-path series; row order is path-major, then t."""
     fh.write(",".join(PATH_CSV_COLUMNS) + "\n")
     for rec in records:
-        rows = np.stack((rec.diameter, rec.disagreement_inf, rec.disagreement_l2), axis=1).tolist()
-        fh.writelines(
-            f"{rec.path_id},{t},{d:.17g},{m:.17g},{l2:.17g}\n" for t, (d, m, l2) in enumerate(rows)
-        )
+        steps = len(rec.diameter)
+        rows = np.empty((steps, 5), dtype=object)  # object entries format as Python ints and floats
+        rows[:, 0], rows[:, 1] = rec.path_id, range(steps)
+        rows[:, 2:] = np.column_stack((rec.diameter, rec.disagreement_inf, rec.disagreement_l2))
+        # %.17g formats as format(v, ".17g") does, signed zero, inf and nan included
+        fh.write(("%d,%d,%.17g,%.17g,%.17g\n" * steps) % tuple(rows.ravel().tolist()))
 
 
 def write_aggregate_csv(

@@ -223,6 +223,11 @@ def _dirichlet3(alpha):
                      "run too large for memory", id="huge_horizon"),
         pytest.param(GOSSIP_CONFIG, ["verdict", "--mc-samples", str(10**16)],
                      "run too large for memory", id="huge_mc_samples"),
+        # the diagnostic series is allocated before one stream per path is derived
+        pytest.param(GOSSIP_CONFIG, ["simulate", "--paths", str(10**12)],
+                     "run too large for memory", id="huge_paths_simulate"),
+        pytest.param(GOSSIP_CONFIG, ["modes", "--paths", str(10**12)],
+                     "run too large for memory", id="huge_paths_modes"),
         # bounded before any draw, whatever the distribution kind
         pytest.param(IDENTITY_CONFIG, ["verdict", "--mc-samples", "-5"],
                      "mc_samples must be >= 1000, got -5", id="dirac_negative_mc_samples"),

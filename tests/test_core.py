@@ -341,3 +341,19 @@ class TestDrawMany:
         monkeypatch.setattr(dist._draw, "bulk", broken)
         with pytest.raises(ConfigError, match="generator 'dirichlet_rows' failed: boom"):
             draw_many(dist, np.random.default_rng(0), np.empty((4, 2, 2)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 200])
+def test_gossip_picks_match_one_draw_at_a_time(n):
+    # the engine's up-front picks: the bits of consecutive sample() calls,
+    # and the bit generator's whole state after them (the 32-bit half that
+    # integers() buffers included)
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": n})
+    picks_rng, loop_rng = np.random.default_rng(41), np.random.default_rng(41)
+    k = dist._draw.picks(picks_rng, 257)
+    out = np.full((257, n, n), np.nan)
+    dist._draw.from_picks(k, out)
+    expected = np.stack([sample(dist, loop_rng).entries for _ in range(257)])
+    assert np.array_equal(out, expected)
+    assert picks_rng.bit_generator.state == loop_rng.bit_generator.state
+    assert picks_rng.integers(7, size=3).tolist() == loop_rng.integers(7, size=3).tolist()

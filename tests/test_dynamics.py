@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from consensuslab import (
     validate_matrix,
     zero_one_probe,
 )
-from consensuslab import core
+from consensuslab import core, dynamics
 from consensuslab.analysis import expected_matrix
 from consensuslab.core import MatrixValidationError, registered_generators
 from consensuslab.dynamics import (
@@ -247,6 +248,69 @@ def test_run_paths_matches_scalar_reference(name, monkeypatch):
     _assert_records_equal(records, expected)
 
 
+@pytest.mark.parametrize("name", ["dirac", "finite_zero_prob_and_gap", "pairwise_gossip",
+                                  "dirichlet_rows"])
+def test_diagnostics_in_chunks_match_scalar_reference(name, monkeypatch):
+    # 13 steps reduced in chunks of 5, 5 and 3; pairwise_gossip draws its
+    # picks up front, dirichlet_rows (no picks hooks) one draw per step
+    dist, paths, _ = _engine_cases()[name]
+    assert hasattr(dist._draw, "picks") == (name == "pairwise_gossip")
+    monkeypatch.setattr(core, "BLOCK_BYTES", 5 * 32 * 8 * paths * dist.n)
+    widths = []
+    diagnose = dynamics._diagnose
+
+    def spy(states, states_t, out):
+        widths.append(states.shape[1])
+        diagnose(states, states_t, out)
+
+    monkeypatch.setattr(dynamics, "_diagnose", spy)
+    x0 = np.linspace(-1.0, 2.0, dist.n)
+    policy = RngPolicy(23)
+    records = run_paths(dist, x0, paths, 12, policy)
+    assert widths == [5, 5, 3]
+    expected = _reference_paths(dist, x0, 12, [policy.path_stream(k) for k in range(paths)])
+    _assert_records_equal(records, expected)
+
+
+@pytest.mark.parametrize("name", ["identity", "dirac", "finite_n12", "pairwise_gossip"])
+def test_signed_zero_state_gives_positive_zero_diameters(name):
+    if name == "identity":
+        dist, paths = MatrixDistribution.dirac(validate_matrix(np.eye(6))), 4
+    else:
+        dist, paths, _ = _engine_cases()[name]
+    x0 = np.where(np.arange(dist.n) % 3 == 1, -0.0, 0.0)
+    policy = RngPolicy(2)
+    records = run_paths(dist, x0, paths, 12, policy)
+    _assert_records_equal(
+        records, _reference_paths(dist, x0, 12, [policy.path_stream(k) for k in range(paths)])
+    )
+    for rec in records:
+        for series in (rec.diameter, rec.disagreement_inf, rec.disagreement_l2):
+            assert np.all(series == 0.0) and not np.signbit(series).any()
+
+
+def test_gossip_run_memory_stays_small():
+    # series 1.4 MiB, picks 0.5 MiB; the per-step buffers stay small
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
+    tracemalloc.start()
+    try:
+        run_paths(dist, np.array([1.0, 0.0, 0.0]), 200, 300, RngPolicy(5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_run_too_large_refused_before_any_stream_is_derived(monkeypatch):
+    def no_stream(self, index):
+        raise AssertionError("a path stream was derived")
+
+    monkeypatch.setattr(RngPolicy, "path_stream", no_stream)
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
+    with pytest.raises(MemoryError):
+        run_paths(dist, np.array([1.0, 0.0, 0.0]), 10**12, 50, RngPolicy(0))
+
+
 class _Uniforms:
     """A scripted stream serving fixed uniforms one at a time or in blocks, as a Generator does."""
 
@@ -356,6 +420,19 @@ def test_wrong_shape_draw_rejected_not_broadcast(monkeypatch):
     dist = MatrixDistribution.generator("row_draw", {})
     with pytest.raises(MatrixValidationError, match=r"drew shape \(3,\), expected \(3, 3\)"):
         run_paths(dist, np.linspace(0.0, 1.0, 3), 2, 2, RngPolicy(0))
+
+
+def test_blocks_built_from_picks_are_validated(monkeypatch):
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": 4})
+    from_picks = dist._draw.from_picks
+
+    def faulty(k, out):
+        from_picks(k, out)
+        out[-1, 2, 2] += 0.25
+
+    monkeypatch.setattr(dist._draw, "from_picks", faulty)
+    with pytest.raises(MatrixValidationError, match="row 2 sums to 1.25"):
+        run_paths(dist, np.linspace(0.0, 1.0, 4), 5, 3, RngPolicy(3))
 
 
 class TestShiftInvariance:
