@@ -15,7 +15,6 @@ identity-vs-swap mixture is the canonical case) and must be surfaced.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -77,9 +76,6 @@ class ConsensusVerdict:
             "uncertainty_halfwidth": self.uncertainty_halfwidth,
             "discrepancy": self.discrepancy,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def expected_matrix(
@@ -172,7 +168,6 @@ def random_verdict(
     dist: MatrixDistribution,
     mc_samples: int = 10000,
     rng: Optional[np.random.Generator] = None,
-    tol: float = VERDICT_TOL,
 ) -> ConsensusVerdict:
     """Spectral consensus decision from the (possibly estimated) expectation.
 
@@ -184,7 +179,7 @@ def random_verdict(
     halfwidth = 0.0 if em.exact else _bootstrap_halfwidth(em, rng)
     return ConsensusVerdict(
         lambda2_modulus=lam2,
-        decision=classify(lam2, tol + halfwidth),
+        decision=classify(lam2, VERDICT_TOL + halfwidth),
         positive_diagonal_support=em.positive_diagonal_support,
         uncertainty_halfwidth=halfwidth,
     )

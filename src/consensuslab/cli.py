@@ -12,15 +12,14 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from typing import Optional
-
-import numpy as np
 
 from . import __version__
 from .analysis import discrepancy_note, lift_second_order, random_verdict
 from .core import (
     ConfigError,
+    MatrixDistribution,
     RngPolicy,
     RunParams,
     load_config,
@@ -33,12 +32,7 @@ from .dynamics import (
     write_aggregate_csv,
     write_path_csv,
 )
-from .spectral import (
-    NumericalError,
-    check_eigen_dimension,
-    deterministic_verdict,
-    second_eigenvalue_modulus,
-)
+from .spectral import NumericalError, check_eigen_dimension, classify, second_eigenvalue_modulus
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
@@ -46,28 +40,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_OUTPUT = 4
 EXIT_SELFCHECK = 5
-
-
-@dataclass
-class RunManifest:
-    """Provenance record written alongside every result file."""
-
-    command: str
-    parameters: dict
-    config_digest: str
-    version: str
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _config_digest(source: str) -> str:
-    if os.path.exists(source):
-        with open(source, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 def _parse_x0(text: str):
@@ -79,63 +51,72 @@ def _parse_x0(text: str):
         raise ConfigError(f"--x0 must be 'uniform01' or comma-separated reals, got {text!r}") from exc
 
 
-def _merge_params(params: RunParams, args: argparse.Namespace) -> RunParams:
-    """Flags win over the config's simulation block."""
+def _read_config(path: str) -> tuple[tuple[MatrixDistribution, RunParams], str]:
+    """Read the config file at ``path`` once: its loaded contents and the sha256 of its bytes."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = data.decode("utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+    return load_config(text), hashlib.sha256(data).hexdigest()
+
+
+def _run_input(args: argparse.Namespace) -> tuple[MatrixDistribution, RunParams, RngPolicy, dict]:
+    """The one input step of a run: the config, flags over its simulation block, streams, manifest."""
+    (dist, params), digest = _read_config(args.config)
     overrides = {
         name: getattr(args, name)
         for name in ("paths", "horizon", "eps", "seed", "p", "mc_samples")
         if getattr(args, name, None) is not None
     }
-    x0 = getattr(args, "x0", None)
-    if x0 is not None:
-        overrides["x0"] = _parse_x0(x0)
-    return replace(params, **overrides)
+    if getattr(args, "x0", None) is not None:
+        overrides["x0"] = _parse_x0(args.x0)
+    params = replace(params, **overrides)
+    manifest = {"command": args.command, "parameters": asdict(params),
+                "config_digest": digest, "version": __version__}
+    return dist, params, RngPolicy(params.seed), manifest
 
 
-def _manifest(command: str, args: argparse.Namespace, params: RunParams) -> RunManifest:
-    return RunManifest(
-        command=command,
-        parameters=asdict(params),
-        config_digest=_config_digest(args.config),
-        version=__version__,
-    )
+def _write_json(path: str, doc, sort_keys: bool = False) -> None:
+    """Write ``doc`` at indent 2 and a newline; a str is a result's printed text, kept as is."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if isinstance(doc, str):
+            fh.write(doc)
+        else:
+            json.dump(doc, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
 
 
-def _emit(doc: dict, args: argparse.Namespace, name: str, manifest: RunManifest) -> None:
+def _emit(doc: dict, args: argparse.Namespace, manifest: dict) -> None:
     text = json.dumps(doc, indent=2)
     print(text)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, f"{name}.json"), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        manifest.write(os.path.join(args.out, f"{name}_manifest.json"))
+        _write_json(os.path.join(args.out, f"{args.command}.json"), text)
+        _write_json(os.path.join(args.out, f"{args.command}_manifest.json"), manifest, sort_keys=True)
 
 
 def cmd_verdict(args: argparse.Namespace) -> int:
-    dist, params = load_config(args.config)
-    params = _merge_params(params, args)
-    policy = RngPolicy(params.seed)
+    dist, params, policy, manifest = _run_input(args)
     verdict = random_verdict(dist, mc_samples=params.mc_samples, rng=policy.expectation_stream())
-    _emit(verdict.to_dict(), args, "verdict", _manifest("verdict", args, params))
+    _emit(verdict.to_dict(), args, manifest)
     return EXIT_OK
 
 
 def cmd_deterministic(args: argparse.Namespace) -> int:
-    dist, params = load_config(args.config)
+    dist, _, _, manifest = _run_input(args)
     if dist.kind != "dirac":
         raise ConfigError("deterministic verdict needs a dirac (single-matrix) config")
-    doc = {
-        "lambda2_modulus": second_eigenvalue_modulus(dist.matrix),
-        "decision": deterministic_verdict(dist.matrix),
-    }
-    _emit(doc, args, "deterministic", _manifest("deterministic", args, params))
+    lam2 = second_eigenvalue_modulus(dist.matrix)
+    _emit({"lambda2_modulus": lam2, "decision": classify(lam2)}, args, manifest)
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    dist, params = load_config(args.config)
-    params = _merge_params(params, args)
-    policy = RngPolicy(params.seed)
+    dist, params, policy, manifest = _run_input(args)
     x0 = resolve_x0(params.x0, dist.n, policy)
     records = run_paths(dist, x0, params.paths, params.horizon, policy)
     out = args.out or "."
@@ -147,22 +128,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             write_aggregate_csv(records, params.eps, params.p, fh)
     else:
         report = summarize_modes(records, params.eps, params.p)
-        with open(os.path.join(out, "paths.json"), "w", encoding="utf-8") as fh:
-            json.dump(paths_as_json(records), fh, indent=2)
-            fh.write("\n")
-        with open(os.path.join(out, "aggregate.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
-    _manifest("simulate", args, params).write(os.path.join(out, "simulate_manifest.json"))
+        _write_json(os.path.join(out, "paths.json"), paths_as_json(records))
+        _write_json(os.path.join(out, "aggregate.json"), report.to_dict())
+    _write_json(os.path.join(out, "simulate_manifest.json"), manifest, sort_keys=True)
     print(f"wrote {params.paths} paths x {params.horizon + 1} steps to {out}")
     return EXIT_OK
 
 
 def cmd_modes(args: argparse.Namespace) -> int:
-    dist, params = load_config(args.config)
-    params = _merge_params(params, args)
+    dist, params, policy, manifest = _run_input(args)
     check_eigen_dimension(dist.n)  # the verdict's limit, checked before the simulation
-    policy = RngPolicy(params.seed)
     x0 = resolve_x0(params.x0, dist.n, policy)
     records = run_paths(dist, x0, params.paths, params.horizon, policy)
     report = summarize_modes(records, params.eps, params.p)
@@ -170,23 +145,21 @@ def cmd_modes(args: argparse.Namespace) -> int:
     verdict.discrepancy = discrepancy_note(verdict, report)
     doc = report.to_dict()
     doc["verdict"] = verdict.to_dict()
-    _emit(doc, args, "modes", _manifest("modes", args, params))
+    _emit(doc, args, manifest)
     return EXIT_OK
 
 
 def cmd_lift(args: argparse.Namespace) -> int:
-    dist_a, params_a = load_config(args.config_a)
-    dist_b, _ = load_config(args.config_b)
+    (dist_a, _), _ = _read_config(args.config_a)
+    (dist_b, _), _ = _read_config(args.config_b)
     beta = 1.0 - args.alpha if args.beta is None else args.beta
     lifted = lift_second_order(args.alpha, beta, dist_a, dist_b)
     doc = {"n": lifted.n, "distribution": lifted.to_config()}
-    text = json.dumps(doc, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_json(args.out, doc)
         print(f"wrote lifted config to {args.out}")
     else:
-        print(text)
+        print(json.dumps(doc, indent=2))
     return EXIT_OK
 
 

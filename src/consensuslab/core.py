@@ -410,17 +410,21 @@ def draw_block(
 def draw_many(dist: MatrixDistribution, rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill ``out[j]`` with the j-th consecutive draw of generator ``dist`` from ``rng``; validate.
 
-    A sampler with a ``bulk`` attribute draws the whole block in one call,
-    with the bits of one-at-a-time draws.  Without one, the draws are made
-    one at a time through :func:`draw_block`, which raises the error that
-    one-by-one :func:`sample` calls would.
+    A sampler with ``picks``/``from_picks`` hooks builds the block from one
+    call's picks, and one with a ``bulk`` attribute draws it in one call;
+    both with the bits of one-at-a-time draws.  Without either, the draws
+    are made one at a time through :func:`draw_block`, which raises the
+    error that one-by-one :func:`sample` calls would.
     """
-    bulk = getattr(dist._draw, "bulk", None)
-    if bulk is None:
+    draw = dist._draw
+    if not (hasattr(draw, "from_picks") or hasattr(draw, "bulk")):
         draw_block(dist, [rng] * len(out), out)
         return
     try:
-        bulk(rng, out)
+        if hasattr(draw, "from_picks"):
+            draw.from_picks(draw.picks(rng, len(out)), out)
+        else:
+            draw.bulk(rng, out)
     except ConfigError:
         raise
     except Exception as exc:
@@ -441,7 +445,7 @@ class RngPolicy:
 
     Streams are derived with numpy's SeedSequence spawn keys, a fixed mixing
     function, so (master_seed, path_index) alone determines every draw on a
-    path regardless of how many threads execute.
+    path.
     """
 
     master_seed: int

@@ -22,7 +22,7 @@ from .core import (
 )
 from .dynamics import simulate_path
 from .projection import diameter, disagreement, make_projections
-from .spectral import second_eigenvalue_modulus, spectral_radius
+from .spectral import check_eigen_dimension, second_eigenvalue_modulus, spectral_radius
 
 
 class PropertyFailure(AssertionError):
@@ -195,6 +195,7 @@ PROPERTIES: dict[str, Callable[[int, int, int], int]] = {
 def run_selfcheck(n_max: int = 8, trials: int = 50, seed: int = 0) -> list[PropertyResult]:
     trials = checked_number(int, "trials", trials, 1)
     n_max = checked_number(int, "n_max", n_max, 2)
+    check_eigen_dimension(n_max)  # spectral_identity solves up to n_max x n_max
     seed = checked_seed(seed)
     results = []
     for name, check in PROPERTIES.items():

@@ -102,9 +102,9 @@ def classify(lambda2_modulus: float, tol: float = VERDICT_TOL) -> str:
     return MARGINAL
 
 
-def deterministic_verdict(a: StochasticMatrix, tol: float = VERDICT_TOL) -> str:
+def deterministic_verdict(a: StochasticMatrix) -> str:
     """Consensus decision for the fixed-matrix network X(t) = A X(t-1)."""
-    return classify(second_eigenvalue_modulus(a), tol)
+    return classify(second_eigenvalue_modulus(a))
 
 
 def disagreement_update_matrix(a: StochasticMatrix) -> np.ndarray:

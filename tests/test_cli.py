@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -82,6 +83,20 @@ class TestVerdictCommand:
         assert manifest["command"] == "verdict"
         assert manifest["parameters"]["seed"] == 7
         assert len(manifest["config_digest"]) == 64
+
+
+def test_result_and_manifest_file_formats(gossip_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["verdict", "--config", gossip_config, "--out", str(out),
+                 "--mc-samples", "1000"]) == 0
+    printed = capsys.readouterr().out
+    assert (out / "verdict.json").read_text(encoding="utf-8") == printed
+    text = (out / "verdict_manifest.json").read_text(encoding="utf-8")
+    manifest = json.loads(text)
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert sorted(manifest) == ["command", "config_digest", "parameters", "version"]
+    with open(gossip_config, "rb") as fh:
+        assert manifest["config_digest"] == hashlib.sha256(fh.read()).hexdigest()
 
 
 class TestDeterministicCommand:
@@ -186,6 +201,10 @@ def test_bad_config_exits_2_with_one_line(command, doc, named, tmp_path, capsys)
     assert err.count("\n") == 1 and err.startswith("config error: ") and named in err
 
 
+# what test_bad_input_exits_2_with_one_line puts at the config path instead of a JSON file
+_DIRECTORY, _MISSING = object(), object()
+
+
 def _dirichlet3(alpha):
     return {"n": 3, "distribution": {
         "type": "generator", "name": "dirichlet_rows", "params": {"n": 3, "alpha": alpha}}}
@@ -218,6 +237,16 @@ def _dirichlet3(alpha):
                      "seed must be >= 0, got -1", id="selfcheck_negative_seed"),
         pytest.param(None, ["selfcheck", "--n-max", "1"],
                      "n_max must be >= 2, got 1", id="selfcheck_n_max_1"),
+        # refused before any battery runs, not after spectral_identity reaches n = 257
+        pytest.param(None, ["selfcheck", "--n-max", "257"],
+                     "dimension 257 exceeds supported maximum 256", id="selfcheck_n_max_257"),
+        # the config file itself cannot be read: each message names the path
+        pytest.param(b'{"n": 2, "distribution": "\xff"}', ["verdict"],
+                     "cfg.json': 'utf-8' codec can't decode byte 0xff", id="config_not_utf8"),
+        pytest.param(_DIRECTORY, ["verdict"], "cfg.json': Is a directory",
+                     id="config_is_a_directory"),
+        pytest.param(_MISSING, ["modes"], "cfg.json': No such file or directory",
+                     id="config_missing"),
         # sizes no machine can allocate: numpy refuses them before touching memory
         pytest.param(GOSSIP_CONFIG, ["simulate", "--horizon", str(10**15)],
                      "run too large for memory", id="huge_horizon"),
@@ -246,7 +275,12 @@ def _dirichlet3(alpha):
 def test_bad_input_exits_2_with_one_line(doc, argv, named, tmp_path, capsys):
     if doc is not None:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(doc))
+        if doc is _DIRECTORY:
+            cfg.mkdir()
+        elif isinstance(doc, bytes):
+            cfg.write_bytes(doc)
+        elif doc is not _MISSING:
+            cfg.write_text(json.dumps(doc))
         argv = [argv[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *argv[1:]]
     assert main(argv) == 2
     err = capsys.readouterr().err

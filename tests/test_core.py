@@ -332,6 +332,18 @@ class TestDrawMany:
         assert bulk_rng.bit_generator.state == loop_rng.bit_generator.state
         assert bulk_rng.random() == loop_rng.random()
 
+    def test_picks_drawn_once_per_block(self, monkeypatch):
+        dist = MatrixDistribution.generator("pairwise_gossip", {"n": 4})
+        picks, counts = dist._draw.picks, []
+
+        def counted(rng, count):
+            counts.append(count)
+            return picks(rng, count)
+
+        monkeypatch.setattr(dist._draw, "picks", counted)
+        draw_many(dist, np.random.default_rng(5), np.empty((257, 4, 4)))
+        assert counts == [257]
+
     def test_bulk_failure_is_a_config_error(self, monkeypatch):
         dist = MatrixDistribution.generator("dirichlet_rows", {"n": 2})
 
