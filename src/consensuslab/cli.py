@@ -8,6 +8,7 @@ A verdict of "no_consensus" is still exit 0; pipelines branch on the JSON
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -241,8 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call of this process reuses, built on first use."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

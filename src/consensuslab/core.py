@@ -7,8 +7,10 @@ mixture of atoms ("finite"), or a named parametric generator ("generator").
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Sequence, Union
@@ -434,6 +436,143 @@ def draw_many(dist: MatrixDistribution, rng: np.random.Generator, out: np.ndarra
 
 # --- seeded stream derivation ----------------------------------------------
 
+# NumPy's SeedSequence, whose algorithm and output NumPy guarantees stable:
+# the pool size, the hashmix/mix constants and the shift.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _words(value: int) -> list[int]:
+    """A nonnegative int as the uint32 words SeedSequence coerces it to, least significant first."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _mix_shared(words: list[int]) -> tuple[list[int], int]:
+    """SeedSequence's pool after mixing in ``words`` (at least 4), and its hash constant.
+
+    Python ints, masked to 32 bits: these are the words every stream of a
+    :func:`spawn_streams` call shares, mixed once.
+    """
+    const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> _XSHIFT
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool, const
+
+
+@functools.cache
+def _chain(const: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The xor and multiplier words of ``count`` hashes of a SeedSequence hash chain at ``const``.
+
+    Each hash xors the value with the chain's constant, advances the
+    constant by ``mult`` and multiplies by it.  Returns both words as uint32
+    arrays, and the chain's next constant.
+    """
+    xors, mults = [], []
+    for _ in range(count):
+        xors.append(const)
+        const = const * mult & _MASK32
+        mults.append(const)
+    xors, mults = np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32)
+    xors.setflags(write=False)  # cached: every caller shares them
+    mults.setflags(write=False)
+    return xors, mults, const
+
+
+def _hash(values: np.ndarray, const: int, mult: int, count: int) -> tuple[np.ndarray, int]:
+    """``count`` consecutive hashes of a chain at ``const``, ``values[..., i]`` taking the i-th.
+
+    The chain's constants are the same for every stream; uint32 products
+    wrap mod 2^32, as the C code's do.  Returns the hashed words and the
+    chain's next constant.
+    """
+    xors, mults, const = _chain(const, mult, count)
+    values = values ^ xors
+    values *= mults
+    values ^= values >> np.uint32(_XSHIFT)
+    return values, const
+
+
+def _pcg64_states(pool: list[int], const: int, own: np.ndarray) -> np.ndarray:
+    """``SeedSequence.generate_state(4, np.uint64)`` for each stream, one row per stream.
+
+    ``pool`` and ``const`` are :func:`_mix_shared` of the words the streams
+    share; ``own[j, s]`` is stream s's j-th own word, mixed in after them,
+    and there is at least one.
+    """
+    pool = np.array(pool, dtype=np.uint32)
+    for word in own:  # each word mixes into every pool entry
+        hashed, const = _hash(word[:, None], const, _MULT_A, _POOL_SIZE)
+        pool = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * hashed
+        pool ^= pool >> np.uint32(_XSHIFT)
+    state, _ = _hash(np.concatenate([pool, pool], axis=1), _INIT_B, _MULT_B, 8)  # pool cycled
+    # word pairs read as little-endian uint64, whatever the host's byte order
+    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _PresetSeed(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose PCG64 state words are already computed."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a preset seed holds exactly the 4 uint64 words PCG64 reads")
+        return self._state
+
+
+def spawn_streams(
+    entropy: int, key: Sequence[int], indices: Sequence[int]
+) -> list[np.random.Generator]:
+    """For each index i, the Generator on the PCG64 that NumPy's SeedSequence seeds, same bits.
+
+    The SeedSequence is the one of ``entropy`` and spawn key ``(*key, i)``.
+    One vectorised pass derives every stream's state.  Multi-word values
+    coerce as SeedSequence coerces them: an index of k uint32 words adds k
+    words of entropy, so the indices are mixed in groups of one word count.
+    """
+    # a spawn key is present, so the run entropy is padded to the pool
+    run = _words(entropy)
+    shared = run + [0] * (_POOL_SIZE - len(run)) + [w for k in key for w in _words(k)]
+    pool, const = _mix_shared(shared)
+    own = [_words(i) for i in indices]
+    states = np.empty((len(own), 4), dtype=np.uint64)
+    for count in sorted({len(words) for words in own}):
+        rows = [k for k, words in enumerate(own) if len(words) == count]
+        group = np.array([own[k] for k in rows], dtype=np.uint32)
+        states[rows] = _pcg64_states(pool, const, group.T)
+    return [np.random.Generator(np.random.PCG64(_PresetSeed(s))) for s in states]
+
+
 _STREAM_PATHS = 0
 _STREAM_X0 = 1
 _STREAM_EXPECTATION = 2
@@ -443,25 +582,25 @@ _STREAM_EXPECTATION = 2
 class RngPolicy:
     """Deterministic stream derivation from a single 64-bit master seed.
 
-    Streams are derived with numpy's SeedSequence spawn keys, a fixed mixing
-    function, so (master_seed, path_index) alone determines every draw on a
-    path.
+    Stream (kind, index) is the one numpy's SeedSequence with spawn key
+    (kind, index) gives, derived by :func:`spawn_streams`, so
+    (master_seed, path_index) alone determines every draw on a path.
     """
 
     master_seed: int
 
-    def _stream(self, kind: int, index: int) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(kind, index))
-        return np.random.Generator(np.random.PCG64(seq))
+    def path_streams(self, count: int) -> list[np.random.Generator]:
+        """Path streams 0 .. count - 1, derived in one pass."""
+        return spawn_streams(self.master_seed, (_STREAM_PATHS,), range(count))
 
     def path_stream(self, path_index: int) -> np.random.Generator:
-        return self._stream(_STREAM_PATHS, path_index)
+        return spawn_streams(self.master_seed, (_STREAM_PATHS,), [path_index])[0]
 
     def x0_stream(self) -> np.random.Generator:
-        return self._stream(_STREAM_X0, 0)
+        return spawn_streams(self.master_seed, (_STREAM_X0,), [0])[0]
 
     def expectation_stream(self) -> np.random.Generator:
-        return self._stream(_STREAM_EXPECTATION, 0)
+        return spawn_streams(self.master_seed, (_STREAM_EXPECTATION,), [0])[0]
 
 
 # --- configuration ---------------------------------------------------------

@@ -254,7 +254,7 @@ def run_paths(
     horizon: int,
     policy: RngPolicy,
 ) -> list[TrajectoryRecord]:
-    """Simulate independent paths, path k on ``policy.path_stream(k)``.
+    """Simulate independent paths, path k on stream k of ``policy.path_streams(paths)``.
 
     Stream k depends only on (master_seed, k), so the results are fixed by
     the seed.
@@ -264,7 +264,7 @@ def run_paths(
     # allocated first: a run too large for memory fails here, not after
     # deriving one stream per path
     series = _new_series(paths, horizon)
-    rngs = [policy.path_stream(k) for k in range(paths)]
+    rngs = policy.path_streams(paths)
     return _simulate(dist, x0, series, rngs, range(paths))
 
 

@@ -18,11 +18,17 @@ from .core import (
     checked_number,
     checked_seed,
     sample,
+    spawn_streams,
     validate_matrix,
 )
 from .dynamics import simulate_path
 from .projection import diameter, disagreement, make_projections
-from .spectral import check_eigen_dimension, second_eigenvalue_modulus, spectral_radius
+from .spectral import (
+    check_eigen_dimension,
+    disagreement_update_matrix,
+    second_eigenvalue_modulus,
+    spectral_radius,
+)
 
 
 class PropertyFailure(AssertionError):
@@ -42,8 +48,24 @@ class PropertyResult:
 
 def _rng(seed: int, label: str) -> np.random.Generator:
     # crc32 keyed substreams: stable across processes, unlike str.__hash__
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(zlib.crc32(label.encode()),))
-    return np.random.Generator(np.random.PCG64(seq))
+    return spawn_streams(seed, (), [zlib.crc32(label.encode())])[0]
+
+
+# The algebra and eigen batteries run every dimension up to this one, then
+# only the powers of two above it and n_max itself.
+ALL_DIMENSIONS_UP_TO = 16
+
+
+def _dimensions(low: int, n_max: int) -> list[int]:
+    """Every n from ``low`` to min(n_max, 16), then each power of two below n_max, then n_max."""
+    dims = list(range(low, min(n_max, ALL_DIMENSIONS_UP_TO) + 1))
+    power = 2 * ALL_DIMENSIONS_UP_TO
+    while power < n_max:
+        dims.append(power)
+        power *= 2
+    if n_max > ALL_DIMENSIONS_UP_TO:
+        dims.append(n_max)
+    return dims
 
 
 def _random_stochastic(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -69,7 +91,7 @@ def _check_matrix_validation(trials: int, n_max: int, seed: int) -> int:
 def _check_projection_algebra(trials: int, n_max: int, seed: int) -> int:
     rng = _rng(seed, "projection_algebra")
     checks = 0
-    for n in range(1, n_max + 1):
+    for n in _dimensions(1, n_max):
         proj = make_projections(n)
         eye = np.eye(n)
         for label, lhs, rhs in (
@@ -106,12 +128,11 @@ def _check_projection_algebra(trials: int, n_max: int, seed: int) -> int:
 def _check_spectral_identity(trials: int, n_max: int, seed: int) -> int:
     rng = _rng(seed, "spectral_identity")
     checks = 0
-    for n in range(2, n_max + 1):
-        proj = make_projections(n)
+    for n in _dimensions(2, n_max):
         for _ in range(trials):
             a = validate_matrix(_random_stochastic(rng, n))
             lam2 = second_eigenvalue_modulus(a)
-            rho = spectral_radius(proj.pi_perp @ a.entries)
+            rho = spectral_radius(disagreement_update_matrix(a))
             if abs(rho - lam2) > 1e-7:
                 raise PropertyFailure(
                     f"rho(pi_perp A) = {rho!r} != |lambda2(A)| = {lam2!r} at n={n}"

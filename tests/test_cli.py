@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from consensuslab import cli
 from consensuslab.cli import main
 from consensuslab.selfcheck import PROPERTIES, run_selfcheck
 
@@ -143,6 +144,49 @@ class TestSimulateCommand:
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a dir")
         assert main(["simulate", "--config", gossip_config, "--out", str(blocker)]) == 4
+
+
+def _run_call(argv, out, capsys):
+    """One main() call writing into ``out``: its exit code, printed streams and files."""
+    try:
+        code = main([arg.replace("{out}", str(out)) for arg in argv])
+    except SystemExit as exc:  # a usage error
+        code = exc.code
+    printed = capsys.readouterr()
+    files = {path.relative_to(out).as_posix(): path.read_bytes()
+             for path in out.rglob("*") if path.is_file()} if out.exists() else {}
+    streams = [text.replace(str(out), "<out>") for text in (printed.out, printed.err)]
+    return code, *streams, files
+
+
+def test_reused_parser_leaks_no_state(gossip_config, tmp_path, monkeypatch, capsys):
+    # flags, a default, a usage error and a seed, in order through one parser
+    calls = [
+        ["simulate", "--config", gossip_config, "--paths", "3", "--format", "json",
+         "--out", "{out}"],
+        ["simulate", "--config", gossip_config, "--out", "{out}"],
+        ["verdict", "--config", gossip_config, "--paths", "5", "--out", "{out}"],
+        ["modes", "--config", gossip_config, "--seed", "5", "--out", "{out}"],
+    ]
+    builds, build_parser = [], cli.build_parser
+
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    try:
+        reused = [_run_call(argv, tmp_path / "reused" / str(k), capsys)
+                  for k, argv in enumerate(calls)]
+        assert len(builds) == 1
+        assert [code for code, *_ in reused] == [0, 0, 2, 0]
+        for k, argv in enumerate(calls):
+            cli._parser.cache_clear()
+            assert _run_call(argv, tmp_path / "fresh" / str(k), capsys) == reused[k]
+        assert len(builds) == 1 + len(calls)
+    finally:
+        cli._parser.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -412,6 +456,23 @@ class TestSelfcheckCommand:
 
 
 class TestSelfcheckRunner:
+    def test_dimensions_all_up_to_16_then_powers_of_two(self):
+        from consensuslab.selfcheck import _dimensions
+
+        assert _dimensions(2, 8) == list(range(2, 9))
+        assert _dimensions(1, 16) == list(range(1, 17))
+        assert _dimensions(2, 17) == [*range(2, 17), 17]
+        assert _dimensions(2, 64) == [*range(2, 17), 32, 64]
+        assert _dimensions(2, 256) == [*range(2, 17), 32, 64, 128, 256]
+        assert _dimensions(1, 100) == [*range(1, 17), 32, 64, 100]
+
+    def test_above_16_passes_on_sampled_dimensions(self):
+        # projection_algebra: 4 + 5 trials checks per n; spectral_identity: trials per n
+        results = {r.name: r for r in run_selfcheck(n_max=40, trials=2, seed=3)}
+        assert all(r.passed for r in results.values())
+        assert results["projection_algebra"].checks == 18 * (4 + 5 * 2)
+        assert results["spectral_identity"].checks == 17 * 2
+
     def test_failure_names_property_and_seed(self, monkeypatch):
         from consensuslab import selfcheck
 

@@ -1,4 +1,5 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from consensuslab.core import (
     pick_atoms,
     registered_generators,
     resolve_x0,
+    spawn_streams,
 )
 
 from conftest import random_stochastic
@@ -191,6 +193,66 @@ class TestRngPolicy:
         policy = RngPolicy(99)
         assert not np.array_equal(policy.path_stream(0).random(8), policy.path_stream(1).random(8))
         assert not np.array_equal(policy.path_stream(0).random(8), policy.x0_stream().random(8))
+
+
+# one- and two-word seeds, on both sides of each word boundary
+ORACLE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+ORACLE_INDICES = (0, 1, 199, 2**32 - 1, 2**32, 2**40 + 7)
+
+
+def _oracle(seed, key):
+    """The stream NumPy's own SeedSequence derives: the reference for the vectorised deriver."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
+def _assert_same_stream(got, expected):
+    assert got.bit_generator.state == expected.bit_generator.state
+    assert np.array_equal(got.random(16), expected.random(16))
+
+
+class TestStreamDeriver:
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("kind", (0, 1, 2))
+    def test_matches_seed_sequence(self, seed, kind):
+        streams = spawn_streams(seed, (kind,), ORACLE_INDICES)
+        assert len(streams) == len(ORACLE_INDICES)
+        for index, got in zip(ORACLE_INDICES, streams):
+            _assert_same_stream(got, _oracle(seed, (kind, index)))
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_policy_streams_match_seed_sequence(self, seed):
+        policy = RngPolicy(seed)
+        for index in ORACLE_INDICES:
+            _assert_same_stream(policy.path_stream(index), _oracle(seed, (0, index)))
+        _assert_same_stream(policy.x0_stream(), _oracle(seed, (1, 0)))
+        _assert_same_stream(policy.expectation_stream(), _oracle(seed, (2, 0)))
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("label", ("matrix_validation", "spectral_identity", "lifting"))
+    def test_selfcheck_substreams_match_seed_sequence(self, seed, label):
+        from consensuslab.selfcheck import _rng
+
+        _assert_same_stream(_rng(seed, label), _oracle(seed, (zlib.crc32(label.encode()),)))
+
+    @pytest.mark.parametrize("seed", (0, 2**64 - 1))
+    def test_batch_equals_one_at_a_time(self, seed):
+        policy = RngPolicy(seed)
+        streams = policy.path_streams(250)
+        assert len(streams) == 250
+        for k in (0, 1, 17, 199, 249):
+            _assert_same_stream(streams[k], policy.path_stream(k))
+        assert policy.path_streams(0) == []
+
+    def test_mixed_word_counts_keep_their_order(self):
+        # indices of one, two and three words, interleaved
+        indices = [2**40 + 7, 3, 2**70 + 1, 2**32 - 1, 2**32]
+        for index, got in zip(indices, spawn_streams(12345, (0,), indices)):
+            _assert_same_stream(got, _oracle(12345, (0, index)))
+
+    @pytest.mark.parametrize("seed, indices", [(-1, [0]), (5, [-1]), (5, [0, -3])])
+    def test_negative_values_refused(self, seed, indices):
+        with pytest.raises(ValueError, match="non-negative"):
+            spawn_streams(seed, (0,), indices)
 
 
 class TestLoadConfig:

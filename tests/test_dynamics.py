@@ -302,10 +302,12 @@ def test_gossip_run_memory_stays_small():
 
 
 def test_run_too_large_refused_before_any_stream_is_derived(monkeypatch):
-    def no_stream(self, index):
+    def no_stream(*args):
         raise AssertionError("a path stream was derived")
 
     monkeypatch.setattr(RngPolicy, "path_stream", no_stream)
+    monkeypatch.setattr(RngPolicy, "path_streams", no_stream)
+    monkeypatch.setattr(core, "spawn_streams", no_stream)
     dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
     with pytest.raises(MemoryError):
         run_paths(dist, np.array([1.0, 0.0, 0.0]), 10**12, 50, RngPolicy(0))
