@@ -1,13 +1,15 @@
 """Consensus analysis for linear random networks driven by i.i.d. stochastic matrices."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .core import (
     ConfigError,
     MatrixDistribution,
+    Moments,
     RngPolicy,
     StochasticMatrix,
     load_config,
+    moments,
     sample,
     validate_matrix,
 )
@@ -32,6 +34,7 @@ from .dynamics import (
 from .analysis import (
     ConsensusVerdict,
     ExpectedMatrix,
+    SecondMoment,
     cross_validate,
     expected_matrix,
     lift_second_order,
@@ -44,9 +47,11 @@ __all__ = [
     "ExpectedMatrix",
     "MatrixDistribution",
     "ModeReport",
+    "Moments",
     "NumericalError",
     "ProjectionPair",
     "RngPolicy",
+    "SecondMoment",
     "Spectrum",
     "StochasticMatrix",
     "TrajectoryRecord",
@@ -60,6 +65,7 @@ __all__ = [
     "lift_second_order",
     "load_config",
     "make_projections",
+    "moments",
     "random_verdict",
     "run_paths",
     "sample",

@@ -2,10 +2,19 @@
 
 The verdict for a random network rests on the expected update matrix: the
 network reaches consensus (in all three modes at once) exactly when the
-second eigenvalue modulus of that expectation is below 1.  When the
-expectation is only estimated by Monte Carlo, the decision band is widened
-by an uncertainty halfwidth from a bootstrap over batch means.  The draws
-are streamed into running moments, so memory does not grow with their count.
+second eigenvalue modulus of that expectation is below 1, provided every
+matrix of the support has a positive diagonal.  The expectation comes in
+closed form from :func:`core.moments` for dirac, finite and every built-in
+generator.  For a generator without closed-form moments it is estimated by
+Monte Carlo, and the decision band is widened by an uncertainty halfwidth
+from a bootstrap over batch means; the draws are streamed into running
+moments, so memory does not grow with their count.
+
+The verdict also reports the second-moment rate rho: the spectral radius of
+the map X -> E[B X B^T], where B is A restricted to the complement of the
+consensus direction 1.  The disagreement converges to 0 in mean square
+exactly when rho < 1, with no hypothesis on the diagonals, so rho shows
+when the |lambda_2| rule fails.
 
 The cross-validation routine runs the spectral decision and the empirical
 mode estimation side by side and records any contradiction verbatim; it
@@ -15,8 +24,8 @@ identity-vs-swap mixture is the canonical case) and must be surfaced.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -24,20 +33,34 @@ from .core import (
     MIN_MC_SAMPLES,
     ConfigError,
     MatrixDistribution,
+    Moments,
     RngPolicy,
     StochasticMatrix,
     block_rows,
     companion_block,
     draw_many,
     lift_weights,
+    moments,
     validate_matrix,
 )
 from .dynamics import ModeReport, estimate_modes
-from .spectral import VERDICT_TOL, check_eigen_dimension, classify, second_eigenvalue_modulus
+from .spectral import (
+    MAX_EIGEN_DIM,
+    VERDICT_TOL,
+    check_eigen_dimension,
+    classify,
+    second_eigenvalue_modulus,
+    spectral_radius,
+)
 
 MC_BATCHES = 100
 BOOTSTRAP_RESAMPLES = 200
 BOOTSTRAP_SIGMA_FACTOR = 3.0
+SYMMETRIC_FORM = "symmetric_form"
+SKIPPED = "skipped"
+
+# A Generator, or a function that derives one when it is first needed.
+StreamSource = Union[np.random.Generator, Callable[[], np.random.Generator], None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +68,9 @@ class ExpectedMatrix:
     """E[A(1)] under the distribution, exact or Monte Carlo estimated.
 
     ``positive_diagonal_support`` says whether every matrix of the support
-    (for a generator: every draw) has a positive diagonal.  A Monte Carlo
-    estimate also keeps the sum of the draws of each of its ``MC_BATCHES``
-    consecutive batches, for the bootstrap.
+    (for a Monte Carlo estimate: every draw) has a positive diagonal.  A
+    Monte Carlo estimate also keeps the sum of the draws of each of its
+    ``MC_BATCHES`` consecutive batches, for the bootstrap.
     """
 
     matrix: StochasticMatrix
@@ -58,6 +81,21 @@ class ExpectedMatrix:
     batch_sums: Optional[np.ndarray] = field(default=None, repr=False)
 
 
+@dataclass(frozen=True)
+class SecondMoment:
+    """The mean-square rate rho of the disagreement, its banded decision and how it was found.
+
+    ``method`` is SYMMETRIC_FORM, or SKIPPED (``rho`` and ``decision`` None)
+    when the moments have no closed form or the form's dimension exceeds
+    ``MAX_EIGEN_DIM``.  ``exact`` says whether the moments have a closed form.
+    """
+
+    rho: Optional[float]
+    decision: Optional[str]
+    method: str
+    exact: bool
+
+
 @dataclass(eq=False)
 class ConsensusVerdict:
     """Spectral consensus decision for a random network."""
@@ -66,6 +104,7 @@ class ConsensusVerdict:
     decision: str
     positive_diagonal_support: bool
     uncertainty_halfwidth: float
+    second_moment: SecondMoment
     discrepancy: Optional[str] = None
 
     def to_dict(self) -> dict:
@@ -74,6 +113,7 @@ class ConsensusVerdict:
             "decision": self.decision,
             "positive_diagonal_support": self.positive_diagonal_support,
             "uncertainty_halfwidth": self.uncertainty_halfwidth,
+            "second_moment": asdict(self.second_moment),
             "discrepancy": self.discrepancy,
         }
 
@@ -83,25 +123,31 @@ def expected_matrix(
     mc_samples: int = 10000,
     rng: Optional[np.random.Generator] = None,
 ) -> ExpectedMatrix:
-    """Mixture average for finite support, sample mean for generators.
+    """E[A(1)]: exact from :func:`core.moments`, else a streamed Monte Carlo mean."""
+    exact = moments(dist)
+    if exact is not None:
+        return _exact_expectation(exact)
+    return _monte_carlo_expectation(dist, mc_samples, rng)
 
-    A convex combination of stochastic matrices is stochastic, so the result
-    is validated against the same tolerances as any input matrix.  A
-    generator's draws are made and validated in slices that fit
+
+def _exact_expectation(exact: Moments) -> ExpectedMatrix:
+    """The closed-form mean, validated as any input matrix: a convex combination is stochastic."""
+    return ExpectedMatrix(validate_matrix(exact.mean), exact=True, sample_count=0,
+                          entry_standard_error=0.0, positive_diagonal_support=exact.positive_diagonal)
+
+
+def _monte_carlo_expectation(
+    dist: MatrixDistribution, mc_samples: int, rng: Optional[np.random.Generator]
+) -> ExpectedMatrix:
+    """Sample mean of ``mc_samples`` draws of a generator without closed-form moments.
+
+    The draws are made and validated in slices that fit
     ``core.BLOCK_BYTES`` and lie within one batch; batch k holds draws
     ``[k*mc//MC_BATCHES, (k+1)*mc//MC_BATCHES)``.  Each slice is folded into
     its batch's sum, a running mean and second moment (Chan's merge) and the
     running minimum of the diagonal, and then dropped.  The estimate is the
     sum of the batch sums over ``mc_samples``.
     """
-    if dist.kind == "dirac":
-        return ExpectedMatrix(dist.matrix, exact=True, sample_count=0, entry_standard_error=0.0,
-                              positive_diagonal_support=dist.matrix.has_positive_diagonal())
-    if dist.kind == "finite":
-        mean = sum(p * m.entries for p, m in dist.atoms)
-        positive = all(m.has_positive_diagonal() for p, m in dist.atoms if p > 0)
-        return ExpectedMatrix(validate_matrix(mean), exact=True, sample_count=0,
-                              entry_standard_error=0.0, positive_diagonal_support=positive)
     if mc_samples < MIN_MC_SAMPLES:
         raise ConfigError(
             f"generator expectation needs mc_samples >= {MIN_MC_SAMPLES}, got {mc_samples}"
@@ -164,24 +210,78 @@ def _bootstrap_halfwidth(em: ExpectedMatrix, rng: np.random.Generator) -> float:
     return float(BOOTSTRAP_SIGMA_FACTOR * values.std(ddof=1))
 
 
+def _symmetric_basis(n: int) -> np.ndarray:
+    """Q E_k Q^T for each E_k of the orthonormal basis of symmetric (n-1) x (n-1) matrices.
+
+    The columns of Q (Helmert's) are an orthonormal basis of 1-perp, and E_k
+    is e_a e_a^T for a = b, (e_a e_b^T + e_b e_a^T) / sqrt(2) for a < b.
+    The result is one (n(n-1)/2, n, n) stack, orthonormal in the Frobenius
+    inner product.
+    """
+    rows, k = np.arange(n)[:, None], np.arange(1, n)
+    q = ((rows < k) - k * (rows == k)) / np.sqrt(k * (k + 1))
+    a, b = np.triu_indices(n - 1)
+    stack = q[:, a].T[:, :, None] * q[:, b].T[:, None, :]
+    stack += stack.swapaxes(1, 2)
+    stack *= np.where(a == b, 0.5, np.sqrt(0.5))[:, None, None]
+    return stack
+
+
+def _symmetric_form(exact: Moments, n: int) -> np.ndarray:
+    """The matrix <S_j, Phi(S_k)> of Phi(S) = E[A S A^T] over the stack S of :func:`_symmetric_basis`.
+
+    Phi is applied to the whole stack at once; the stack is dropped on return.
+    """
+    basis = _symmetric_basis(n)
+    dim = len(basis)
+    return basis.reshape(dim, -1) @ exact.second(basis).reshape(dim, -1).T
+
+
+def second_moment_rate(exact: Optional[Moments], n: int) -> SecondMoment:
+    """rho of the map X -> E[B X B^T], B being A restricted to 1-perp, from closed-form moments.
+
+    The map is positive, so its spectral radius is attained on a positive
+    semidefinite eigenvector: its restriction to symmetric matrices, of
+    dimension d = n(n-1)/2, has the spectral radius of E[B kron B].  One
+    residual-checked eigen solve of :func:`_symmetric_form` gives rho.
+    Skipped without closed-form moments, or when d exceeds ``MAX_EIGEN_DIM``.
+    """
+    dim = n * (n - 1) // 2
+    if exact is None or dim > MAX_EIGEN_DIM:
+        return SecondMoment(rho=None, decision=None, method=SKIPPED, exact=exact is not None)
+    if dim == 0:  # n = 1: there is no disagreement
+        rho = 0.0
+    else:
+        rho = spectral_radius(_symmetric_form(exact, n))
+    return SecondMoment(rho=rho, decision=classify(rho), method=SYMMETRIC_FORM, exact=True)
+
+
 def random_verdict(
     dist: MatrixDistribution,
     mc_samples: int = 10000,
-    rng: Optional[np.random.Generator] = None,
+    rng: StreamSource = None,
 ) -> ConsensusVerdict:
-    """Spectral consensus decision from the (possibly estimated) expectation.
+    """Spectral consensus decision from the exact or estimated expectation, and rho.
 
-    The bootstrap draws its resamples from ``rng`` after the Monte Carlo draws.
+    ``rng`` (a Generator, or a function that derives one) is used only for
+    a generator without closed-form moments: it gives the Monte Carlo draws,
+    then the bootstrap's resamples.
     """
     check_eigen_dimension(dist.n)  # before the Monte Carlo draws, which grow with n^2
-    em = expected_matrix(dist, mc_samples=mc_samples, rng=rng)
+    exact = moments(dist)
+    if exact is None:
+        rng = rng() if callable(rng) else rng
+        em = _monte_carlo_expectation(dist, mc_samples, rng)
+        halfwidth = _bootstrap_halfwidth(em, rng)
+    else:
+        em, halfwidth = _exact_expectation(exact), 0.0
     lam2 = second_eigenvalue_modulus(em.matrix)
-    halfwidth = 0.0 if em.exact else _bootstrap_halfwidth(em, rng)
     return ConsensusVerdict(
         lambda2_modulus=lam2,
         decision=classify(lam2, VERDICT_TOL + halfwidth),
         positive_diagonal_support=em.positive_diagonal_support,
         uncertainty_halfwidth=halfwidth,
+        second_moment=second_moment_rate(exact, dist.n),
     )
 
 
@@ -215,7 +315,7 @@ def cross_validate(
     p: float = 1.0,
 ) -> ConsensusVerdict:
     """Run the spectral verdict and the simulation; report both sides verbatim."""
-    verdict = random_verdict(dist, mc_samples=mc_samples, rng=policy.expectation_stream())
+    verdict = random_verdict(dist, mc_samples=mc_samples, rng=policy.expectation_stream)
     modes = estimate_modes(dist, x0, paths, horizon, eps, p, policy)
     verdict.discrepancy = discrepancy_note(verdict, modes)
     return verdict

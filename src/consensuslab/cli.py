@@ -102,7 +102,7 @@ def _emit(doc: dict, args: argparse.Namespace, manifest: dict) -> None:
 
 def cmd_verdict(args: argparse.Namespace) -> int:
     dist, params, policy, manifest = _run_input(args)
-    verdict = random_verdict(dist, mc_samples=params.mc_samples, rng=policy.expectation_stream())
+    verdict = random_verdict(dist, mc_samples=params.mc_samples, rng=policy.expectation_stream)
     _emit(verdict.to_dict(), args, manifest)
     return EXIT_OK
 
@@ -142,7 +142,7 @@ def cmd_modes(args: argparse.Namespace) -> int:
     x0 = resolve_x0(params.x0, dist.n, policy)
     records = run_paths(dist, x0, params.paths, params.horizon, policy)
     report = summarize_modes(records, params.eps, params.p)
-    verdict = random_verdict(dist, mc_samples=params.mc_samples, rng=policy.expectation_stream())
+    verdict = random_verdict(dist, mc_samples=params.mc_samples, rng=policy.expectation_stream)
     verdict.discrepancy = discrepancy_note(verdict, report)
     doc = report.to_dict()
     doc["verdict"] = verdict.to_dict()

@@ -151,8 +151,32 @@ def checked_number(
 # same rng state after), and `from_picks(k, out)`, which writes the matrices
 # of choices k into a (len(k), n, n) block; the engine draws a path's whole
 # horizon of picks up front, as it does a finite distribution's atom picks.
+# A sampler whose draw has closed-form moments carries `moments()`, which
+# returns them as a `Moments` (or None, for a lifted pair with a part that
+# has none); see :func:`moments`.
 Sampler = Callable[[np.random.Generator], np.ndarray]
 GeneratorFactory = Callable[[dict], tuple[int, Sampler]]
+
+
+@dataclass(frozen=True, eq=False)
+class Moments:
+    """The first two moments of a random update matrix A, in closed form.
+
+    ``mean`` is E[A].  ``second(s)`` is E[A S A^T] for each matrix S of a
+    (..., n, n) stack ``s``, without any (n^2, n^2) array.
+    ``positive_diagonal`` says whether every matrix of the support has a
+    positive diagonal.
+    """
+
+    mean: np.ndarray
+    second: Callable[[np.ndarray], np.ndarray]
+    positive_diagonal: bool
+
+
+def _stack_sums(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry sum 1^T S 1 and trace of each matrix of a stack, shaped to broadcast over it."""
+    return s.sum(axis=(-2, -1))[..., None, None], np.trace(s, axis1=-2, axis2=-1)[..., None, None]
+
 
 _GENERATORS: dict[str, GeneratorFactory] = {}
 
@@ -198,7 +222,23 @@ def _pairwise_gossip(params: dict):
         out[:] = np.eye(n)
         out[item, i, i] = out[item, j, j] = out[item, i, j] = out[item, j, i] = 0.5
 
-    draw.picks, draw.from_picks = picks, from_picks
+    def exact_moments() -> Moments:
+        # A = I - d d^T / 2 with d = e_i - e_j for one of the N pairs:
+        # E[d d^T] = L / N with L = nI - J, and E[d d^T S d d^T] = R / N, where
+        # R = diag(Q 1) - Q and Q holds d^T S d for every pair (i, j)
+        count, diagonal = len(pairs), np.arange(n)
+
+        def second(s: np.ndarray) -> np.ndarray:
+            diag = np.diagonal(s, axis1=-2, axis2=-1)
+            ls_plus_sl = 2 * n * s - s.sum(axis=-2)[..., None, :] - s.sum(axis=-1)[..., :, None]
+            q = diag[..., :, None] + diag[..., None, :] - s - s.swapaxes(-1, -2)
+            r = -q
+            r[..., diagonal, diagonal] += q.sum(axis=-1)
+            return s - ls_plus_sl / (2 * count) + r / (4 * count)
+
+        return Moments(np.eye(n) - (n * np.eye(n) - 1.0) / (2 * count), second, True)
+
+    draw.picks, draw.from_picks, draw.moments = picks, from_picks, exact_moments
     return n, draw
 
 
@@ -214,7 +254,17 @@ def _dirichlet_rows(params: dict):
     def draw_bulk(rng: np.random.Generator, out: np.ndarray) -> None:
         out[:] = rng.dirichlet(conc, size=(len(out), n))
 
-    draw.bulk = draw_bulk
+    def exact_moments() -> Moments:
+        # independent rows a_i with E[a_i] = 1/n and
+        # E[a_i a_i^T] = (alpha^2 J + alpha I) / (n alpha (n alpha + 1))
+        def second(s: np.ndarray) -> np.ndarray:
+            total, trace = _stack_sums(s)
+            own_row = (alpha * alpha * total + alpha * trace) / (n * alpha * (n * alpha + 1))
+            return total / n**2 + (own_row - total / n**2) * np.eye(n)
+
+        return Moments(np.full((n, n), 1.0 / n), second, True)
+
+    draw.bulk, draw.moments = draw_bulk, exact_moments
     return n, draw
 
 
@@ -231,6 +281,19 @@ def _lazy_permutation(params: dict):
         m[np.arange(n), perm] = 1.0
         return m
 
+    def exact_moments() -> Moments:
+        # a uniform permutation P moves S's diagonal onto its diagonal and its
+        # off-diagonal entries onto the off-diagonal, each uniformly
+        def second(s: np.ndarray) -> np.ndarray:
+            total, trace = _stack_sums(s)
+            off = (total - trace) / max(n * (n - 1), 1)
+            permuted = (trace / n - off) * np.eye(n) + off
+            return hold_prob * s + (1.0 - hold_prob) * permuted
+
+        mean = hold_prob * np.eye(n) + (1.0 - hold_prob) / n
+        return Moments(mean, second, hold_prob == 1.0 or n == 1)
+
+    draw.moments = exact_moments
     return n, draw
 
 
@@ -255,6 +318,28 @@ def _lifted_pair(params: dict):
         b = sample(dist_b, rng).entries
         return companion_block(alpha, a, beta, b)
 
+    def exact_moments() -> Optional[Moments]:
+        # C = [[alpha A, beta B], [I, 0]] with A and B independent, so the
+        # cross terms of E[C S C^T] factor: E[A X B^T] = E[A] X E[B]^T
+        part_a, part_b = moments(dist_a), moments(dist_b)
+        if part_a is None or part_b is None:
+            return None
+        mean_a, mean_b = part_a.mean, part_b.mean
+
+        def second(s: np.ndarray) -> np.ndarray:
+            s11, s12, s21, s22 = s[..., :n, :n], s[..., :n, n:], s[..., n:, :n], s[..., n:, n:]
+            out = np.empty_like(s)
+            out[..., :n, :n] = (alpha * alpha * part_a.second(s11) + beta * beta * part_b.second(s22)
+                                + alpha * beta * (mean_a @ s12 @ mean_b.T + mean_b @ s21 @ mean_a.T))
+            out[..., :n, n:] = alpha * mean_a @ s11 + beta * mean_b @ s21
+            out[..., n:, :n] = alpha * s11 @ mean_a.T + beta * s12 @ mean_b.T
+            out[..., n:, n:] = s11
+            return out
+
+        # the identity block's rows have a zero diagonal
+        return Moments(companion_block(alpha, mean_a, beta, mean_b), second, False)
+
+    draw.moments = exact_moments
     return 2 * n, draw
 
 
@@ -338,6 +423,28 @@ class MatrixDistribution:
                 "atoms": [{"prob": p, "matrix": m.tolist()} for p, m in self.atoms],
             }
         return {"type": "generator", "name": self.name, "params": self.params}
+
+
+def moments(dist: MatrixDistribution) -> Optional[Moments]:
+    """E[A], the map S -> E[A S A^T] and the positive-diagonal fact, in closed form.
+
+    Exact for dirac and finite distributions, and for a generator whose
+    sampler carries a ``moments`` hook, as every built-in does; None for a
+    generator without one (or a lifted pair with such a part).
+    """
+    if dist.kind == "dirac":
+        a = dist.matrix.entries
+        return Moments(a, lambda s: a @ s @ a.T, dist.matrix.has_positive_diagonal())
+    if dist.kind == "finite":
+        atoms = dist.atoms
+
+        def second(s: np.ndarray) -> np.ndarray:
+            return sum(p * (m.entries @ s @ m.entries.T) for p, m in atoms)
+
+        mean = sum(p * m.entries for p, m in atoms)
+        return Moments(mean, second, all(m.has_positive_diagonal() for p, m in atoms if p > 0))
+    hook = getattr(dist._draw, "moments", None)
+    return None if hook is None else hook()
 
 
 def pick_atoms(probs: Sequence[float], u: Union[float, np.ndarray]) -> Union[int, np.ndarray]:

@@ -13,6 +13,7 @@ from consensuslab import (
     deterministic_verdict,
     expected_matrix,
     lift_second_order,
+    moments,
     random_verdict,
     sample,
     validate_matrix,
@@ -50,6 +51,7 @@ class TestExpectedMatrix:
         assert em.exact
         assert np.max(np.abs(em.matrix.entries - expected)) <= 1e-15
 
+    @pytest.mark.usefixtures("without_moments")
     def test_dirichlet_rows_monte_carlo(self):
         dist = MatrixDistribution.generator("dirichlet_rows", {"n": 2, "alpha": 1.0})
         rng = np.random.default_rng(13)
@@ -58,6 +60,7 @@ class TestExpectedMatrix:
         # Dirichlet(1,1) rows are uniform on the simplex: mean entry is 1/2
         assert np.max(np.abs(em.matrix.entries - 0.5)) <= 4 * em.entry_standard_error
 
+    @pytest.mark.usefixtures("without_moments")
     def test_generator_needs_enough_samples(self):
         dist = MatrixDistribution.generator("dirichlet_rows", {"n": 2, "alpha": 1.0})
         with pytest.raises(ConfigError, match="mc_samples"):
@@ -83,6 +86,7 @@ class TestRandomVerdict:
         assert v.decision == "consensus"
         assert not v.positive_diagonal_support  # swap atom has a zero diagonal
 
+    @pytest.mark.usefixtures("without_moments")
     def test_generator_bootstrap_halfwidth(self):
         dist = MatrixDistribution.generator("dirichlet_rows", {"n": 3, "alpha": 2.0})
         rng = np.random.default_rng(4)
@@ -253,6 +257,7 @@ def _full_bootstrap_halfwidth(dist, mc, seed):
 
 
 class TestStreamedMonteCarlo:
+    @pytest.mark.usefixtures("without_moments")
     @pytest.mark.parametrize("slice_matrices", [None, 3])
     @pytest.mark.parametrize("mc", [1000, 2345])
     @pytest.mark.parametrize("name", sorted(_generator_cases()))
@@ -314,6 +319,7 @@ class TestStreamedMonteCarlo:
         assert str(err.value) == str(expected.value)
         assert str(err.value).startswith("row 1 sums to 1.25")
 
+    @pytest.mark.usefixtures("without_moments")
     @pytest.mark.parametrize("name, params", [
         ("dirichlet_rows", {"n": 4, "alpha": 0.5}),
         ("lazy_permutation", {"n": 4}),
@@ -329,6 +335,7 @@ class TestStreamedMonteCarlo:
         ]
         assert 0.85 <= np.median(ratios) <= 1.2
 
+    @pytest.mark.usefixtures("without_moments")
     def test_memory_does_not_grow_with_sample_count(self):
         dist = MatrixDistribution.generator("dirichlet_rows", {"n": 8, "alpha": 1.0})
         tracemalloc.start()
@@ -339,3 +346,173 @@ class TestStreamedMonteCarlo:
             tracemalloc.stop()
         # the 200k draws alone would take 102 MB
         assert peak < 16 * 2**20
+
+
+def _finite(pairs):
+    return MatrixDistribution.finite([(p, validate_matrix(m)) for p, m in pairs])
+
+
+def _gossip_pair_matrices(n):
+    for i, j in itertools.combinations(range(n), 2):
+        m = np.eye(n)
+        m[i, i] = m[j, j] = m[i, j] = m[j, i] = 0.5
+        yield m
+
+
+def _assert_same_moments(got, want, n, rng, tol=1e-14):
+    assert got.positive_diagonal == want.positive_diagonal
+    assert np.max(np.abs(got.mean - want.mean)) <= tol
+    s = rng.normal(size=(5, n, n))  # not symmetric: the maps agree on every matrix
+    assert np.max(np.abs(got.second(s) - want.second(s))) <= tol * np.abs(s).max() * n
+
+
+def _dense_rate(dist):
+    """rho(E[B kron B]) on 1-perp by enumerating a finite support: the dense oracle."""
+    n = dist.n
+    q = np.linalg.svd(np.eye(n) - 1.0 / n)[0][:, : n - 1]  # any orthonormal basis of 1-perp
+    dense = sum(p * np.kron(q.T @ m.entries @ q, q.T @ m.entries @ q) for p, m in dist.atoms)
+    return float(np.max(np.abs(np.linalg.eigvals(dense))))
+
+
+class TestClosedFormMoments:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_gossip_matches_its_pair_mixture(self, n, rng):
+        mats = list(_gossip_pair_matrices(n))
+        oracle = moments(_finite([(1 / len(mats), m) for m in mats]))
+        exact = moments(MatrixDistribution.generator("pairwise_gossip", {"n": n}))
+        _assert_same_moments(exact, oracle, n, rng)
+
+    @pytest.mark.parametrize("hold_prob", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_lazy_permutation_matches_identity_and_all_permutations(self, n, hold_prob, rng):
+        perms = [np.eye(n)[list(p)] for p in itertools.permutations(range(n))]
+        oracle = moments(_finite(
+            [(hold_prob, np.eye(n))] + [((1 - hold_prob) / len(perms), m) for m in perms]))
+        exact = moments(MatrixDistribution.generator(
+            "lazy_permutation", {"n": n, "hold_prob": hold_prob}))
+        _assert_same_moments(exact, oracle, n, rng)
+
+    def test_lifted_pair_matches_lift_of_finite_parts(self, rng):
+        part_a = _finite([(0.4, random_stochastic(rng, 3)), (0.6, random_stochastic(rng, 3))])
+        part_b = _finite([(1 / 3, m) for m in _gossip_pair_matrices(3)])
+        gossip = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
+        for b_config in (part_b.to_config(), gossip.to_config()):
+            lifted = MatrixDistribution.generator("lifted_pair", {
+                "alpha": 0.3, "beta": 0.7,
+                "dist_a": {"n": 3, "distribution": part_a.to_config()},
+                "dist_b": {"n": 3, "distribution": b_config}})
+            oracle = moments(lift_second_order(0.3, 0.7, part_a, part_b))
+            _assert_same_moments(moments(lifted), oracle, 6, rng)
+
+    def test_dirichlet_matches_monte_carlo(self):
+        n, alpha, count = 3, 0.7, 100_000
+        exact = moments(MatrixDistribution.generator("dirichlet_rows", {"n": n, "alpha": alpha}))
+        rng = np.random.default_rng(5)
+        draws = rng.dirichlet(np.full(n, alpha), size=(count, n))
+        s = rng.normal(size=(n, n))
+        s += s.T
+        for samples, want in ((draws, exact.mean), (draws @ s @ draws.swapaxes(1, 2),
+                                                     exact.second(s))):
+            se = samples.std(axis=0, ddof=1) / np.sqrt(count)
+            assert np.all(np.abs(samples.mean(axis=0) - want) <= 4 * se)
+
+    def test_generator_without_hook_has_none(self, without_moments):
+        assert moments(MatrixDistribution.generator("dirichlet_rows", {"n": 3})) is None
+        config = {"n": 3, "distribution": {"type": "dirac", "matrix": np.eye(3).tolist()}}
+        lifted = MatrixDistribution.generator(
+            "lifted_pair", {"alpha": 0.5, "beta": 0.5, "dist_a": config, "dist_b": config})
+        assert moments(lifted) is None
+
+    @pytest.mark.parametrize("name, params, positive", [
+        ("pairwise_gossip", {"n": 4}, True),
+        ("dirichlet_rows", {"n": 4, "alpha": 0.3}, True),
+        ("lazy_permutation", {"n": 4, "hold_prob": 0.3}, False),
+        ("lazy_permutation", {"n": 4, "hold_prob": 0.0}, False),
+        ("lazy_permutation", {"n": 4, "hold_prob": 1.0}, True),
+        ("lazy_permutation", {"n": 1, "hold_prob": 0.3}, True),
+        ("lifted_pair", _generator_cases()["lifted_pair"], False),
+    ])
+    def test_exact_positive_diagonal_support(self, name, params, positive):
+        em = expected_matrix(MatrixDistribution.generator(name, params))
+        assert em.exact and em.sample_count == 0 and em.entry_standard_error == 0.0
+        assert em.positive_diagonal_support is positive
+
+    @pytest.mark.parametrize("name, params, mean", [
+        ("pairwise_gossip", {"n": 4}, np.eye(4) - (4 * np.eye(4) - 1) / 12),
+        ("dirichlet_rows", {"n": 4, "alpha": 0.3}, np.full((4, 4), 0.25)),
+        ("lazy_permutation", {"n": 4, "hold_prob": 0.3}, 0.3 * np.eye(4) + 0.7 / 4),
+    ])
+    def test_generator_verdict_is_exact(self, name, params, mean):
+        dist = MatrixDistribution.generator(name, params)
+        v = random_verdict(dist)  # no RNG: nothing is drawn
+        assert v.uncertainty_halfwidth == 0.0
+        assert v.lambda2_modulus == pytest.approx(second_eigenvalue_modulus(validate_matrix(mean)),
+                                                  abs=1e-12)
+        assert expected_matrix(dist).matrix.allclose(validate_matrix(mean), tol=1e-15)
+
+
+class TestSecondMomentRate:
+    def test_identity_swap_is_one(self, identity_swap_mixture):
+        sm = random_verdict(identity_swap_mixture).second_moment
+        assert sm.rho == pytest.approx(1.0, abs=1e-12)
+        assert sm.decision == "marginal" and sm.method == "symmetric_form" and sm.exact
+
+    @pytest.mark.parametrize("hold_prob", [0.0, 0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_lazy_permutation_is_one_at_every_hold_prob(self, n, hold_prob):
+        dist = MatrixDistribution.generator("lazy_permutation", {"n": n, "hold_prob": hold_prob})
+        v = random_verdict(dist)
+        assert v.second_moment.rho == pytest.approx(1.0, abs=1e-12)
+        assert v.second_moment.decision == "marginal"
+
+    def test_gossip_five_equals_lambda2(self):
+        v = random_verdict(MatrixDistribution.generator("pairwise_gossip", {"n": 5}))
+        assert v.second_moment.rho == pytest.approx(0.75, abs=1e-12)
+        assert v.second_moment.rho == pytest.approx(v.lambda2_modulus, abs=1e-12)
+
+    @pytest.mark.parametrize("n, alpha", [(3, 1.0), (16, 1.0), (5, 0.4)])
+    def test_dirichlet_closed_form(self, n, alpha):
+        dist = MatrixDistribution.generator("dirichlet_rows", {"n": n, "alpha": alpha})
+        rho = random_verdict(dist).second_moment.rho
+        assert rho == pytest.approx((n - 1) / (n * (n * alpha + 1)), rel=1e-12)
+
+    def test_matches_dense_kronecker_on_zero_diagonal_battery(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            atoms = []
+            for p in rng.dirichlet(np.ones(3)):
+                if rng.random() < 0.4:
+                    m = np.eye(n)[rng.permutation(n)]
+                else:
+                    m = random_stochastic(rng, n)
+                atoms.append((float(p), m))
+            dist = _finite(atoms)
+            rho = random_verdict(dist).second_moment.rho
+            assert rho == pytest.approx(_dense_rate(dist), abs=1e-9)
+
+    def test_one_node_has_no_disagreement(self):
+        sm = random_verdict(MatrixDistribution.dirac(validate_matrix([[1.0]]))).second_moment
+        assert sm.rho == 0.0 and sm.decision == "consensus"
+
+    def test_skipped_above_the_eigen_limit(self):
+        for n, method in ((23, "symmetric_form"), (24, "skipped")):
+            sm = random_verdict(MatrixDistribution.generator("pairwise_gossip", {"n": n})).second_moment
+            assert sm.method == method and sm.exact
+        assert sm.rho is None and sm.decision is None
+
+    def test_skipped_without_closed_form(self, without_moments):
+        dist = MatrixDistribution.generator("dirichlet_rows", {"n": 3})
+        v = random_verdict(dist, mc_samples=1000, rng=np.random.default_rng(1))
+        assert v.uncertainty_halfwidth > 0.0
+        assert v.to_dict()["second_moment"] == {
+            "rho": None, "decision": None, "method": "skipped", "exact": False}
+
+    def test_stream_derived_only_for_monte_carlo(self, without_moments):
+        calls = []
+
+        def stream():
+            calls.append(1)
+            return np.random.default_rng(3)
+
+        random_verdict(MatrixDistribution.generator("dirichlet_rows", {"n": 3}), rng=stream)
+        assert calls == [1]

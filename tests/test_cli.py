@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from consensuslab import cli
+from consensuslab import RngPolicy, cli
 from consensuslab.cli import main
 from consensuslab.selfcheck import PROPERTIES, run_selfcheck
 
@@ -484,3 +484,39 @@ class TestSelfcheckRunner:
         failed = {r.name: r for r in results if not r.passed}
         assert "spectral_identity" in failed
         assert "seed 31" in failed["spectral_identity"].error
+
+
+@pytest.mark.parametrize("command", ["verdict", "modes"])
+def test_builtin_generator_derives_no_expectation_stream(command, gossip_config, monkeypatch,
+                                                         capsys):
+    def underived(self):
+        raise AssertionError("the expectation stream was derived")
+
+    monkeypatch.setattr(RngPolicy, "expectation_stream", underived)
+    assert main([command, "--config", gossip_config]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    verdict = doc if command == "verdict" else doc["verdict"]
+    assert verdict["uncertainty_halfwidth"] == 0.0
+    assert verdict["lambda2_modulus"] == pytest.approx(0.5, abs=1e-12)
+    assert verdict["second_moment"] == {
+        "rho": pytest.approx(0.5, abs=1e-12), "decision": "consensus",
+        "method": "symmetric_form", "exact": True}
+
+
+def test_generator_without_closed_form_uses_monte_carlo(gossip_config, without_moments, capsys):
+    assert main(["verdict", "--config", gossip_config, "--mc-samples", "2000"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["uncertainty_halfwidth"] > 0.0
+    assert abs(doc["lambda2_modulus"] - 0.5) < 0.1
+    assert doc["second_moment"]["method"] == "skipped"
+
+
+def test_lazy_permutation_second_moment_flags_the_lambda2_rule(tmp_path, capsys):
+    cfg = tmp_path / "lazy.json"
+    cfg.write_text(json.dumps({"n": 4, "distribution": {
+        "type": "generator", "name": "lazy_permutation", "params": {"n": 4, "hold_prob": 0.3}}}))
+    assert main(["verdict", "--config", str(cfg)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["decision"] == "consensus" and doc["positive_diagonal_support"] is False
+    assert doc["second_moment"]["rho"] == pytest.approx(1.0, abs=1e-12)
+    assert doc["second_moment"]["decision"] == "marginal"
