@@ -33,10 +33,8 @@ from .dynamics import (
 )
 from .analysis import (
     ConsensusVerdict,
-    ExpectedMatrix,
     SecondMoment,
     cross_validate,
-    expected_matrix,
     lift_second_order,
     random_verdict,
 )
@@ -44,7 +42,6 @@ from .analysis import (
 __all__ = [
     "ConfigError",
     "ConsensusVerdict",
-    "ExpectedMatrix",
     "MatrixDistribution",
     "ModeReport",
     "Moments",
@@ -61,7 +58,6 @@ __all__ = [
     "disagreement",
     "eigen_spectrum",
     "estimate_modes",
-    "expected_matrix",
     "lift_second_order",
     "load_config",
     "make_projections",

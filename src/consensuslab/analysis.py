@@ -1,14 +1,11 @@
-"""Expected update matrix, the random-network verdict, and the second-order lifting.
+"""The random-network verdict from closed-form moments, and the second-order lifting.
 
 The verdict for a random network rests on the expected update matrix: the
 network reaches consensus (in all three modes at once) exactly when the
 second eigenvalue modulus of that expectation is below 1, provided every
 matrix of the support has a positive diagonal.  The expectation comes in
-closed form from :func:`core.moments` for dirac, finite and every built-in
-generator.  For a generator without closed-form moments it is estimated by
-Monte Carlo, and the decision band is widened by an uncertainty halfwidth
-from a bootstrap over batch means; the draws are streamed into running
-moments, so memory does not grow with their count.
+closed form from :func:`core.moments`, which every distribution has, so
+the verdict draws nothing and needs no seed.
 
 The verdict also reports the second-moment rate rho: the spectral radius of
 the map X -> E[B X B^T], where B is A restricted to the complement of the
@@ -24,21 +21,17 @@ identity-vs-swap mixture is the canonical case) and must be surfaced.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import asdict, dataclass
+from typing import Optional
 
 import numpy as np
 
 from .core import (
-    MIN_MC_SAMPLES,
     ConfigError,
     MatrixDistribution,
     Moments,
     RngPolicy,
-    StochasticMatrix,
-    block_rows,
     companion_block,
-    draw_many,
     lift_weights,
     moments,
     validate_matrix,
@@ -46,39 +39,15 @@ from .core import (
 from .dynamics import ModeReport, estimate_modes
 from .spectral import (
     MAX_EIGEN_DIM,
-    VERDICT_TOL,
+    NumericalError,
     check_eigen_dimension,
     classify,
     second_eigenvalue_modulus,
     spectral_radius,
 )
 
-MC_BATCHES = 100
-BOOTSTRAP_RESAMPLES = 200
-BOOTSTRAP_SIGMA_FACTOR = 3.0
 SYMMETRIC_FORM = "symmetric_form"
 SKIPPED = "skipped"
-
-# A Generator, or a function that derives one when it is first needed.
-StreamSource = Union[np.random.Generator, Callable[[], np.random.Generator], None]
-
-
-@dataclass(frozen=True, eq=False)
-class ExpectedMatrix:
-    """E[A(1)] under the distribution, exact or Monte Carlo estimated.
-
-    ``positive_diagonal_support`` says whether every matrix of the support
-    (for a Monte Carlo estimate: every draw) has a positive diagonal.  A
-    Monte Carlo estimate also keeps the sum of the draws of each of its
-    ``MC_BATCHES`` consecutive batches, for the bootstrap.
-    """
-
-    matrix: StochasticMatrix
-    exact: bool
-    sample_count: int
-    entry_standard_error: float
-    positive_diagonal_support: bool
-    batch_sums: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -86,8 +55,8 @@ class SecondMoment:
     """The mean-square rate rho of the disagreement, its banded decision and how it was found.
 
     ``method`` is SYMMETRIC_FORM, or SKIPPED (``rho`` and ``decision`` None)
-    when the moments have no closed form or the form's dimension exceeds
-    ``MAX_EIGEN_DIM``.  ``exact`` says whether the moments have a closed form.
+    when the form's dimension exceeds ``MAX_EIGEN_DIM``.  ``exact`` is always
+    true: every distribution has closed-form moments.
     """
 
     rho: Optional[float]
@@ -98,7 +67,11 @@ class SecondMoment:
 
 @dataclass(eq=False)
 class ConsensusVerdict:
-    """Spectral consensus decision for a random network."""
+    """Spectral consensus decision for a random network.
+
+    ``uncertainty_halfwidth`` is always 0.0: the expectation is exact.  It
+    stays, as ``SecondMoment.exact`` does, so the JSON keeps its keys.
+    """
 
     lambda2_modulus: float
     decision: str
@@ -116,98 +89,6 @@ class ConsensusVerdict:
             "second_moment": asdict(self.second_moment),
             "discrepancy": self.discrepancy,
         }
-
-
-def expected_matrix(
-    dist: MatrixDistribution,
-    mc_samples: int = 10000,
-    rng: Optional[np.random.Generator] = None,
-) -> ExpectedMatrix:
-    """E[A(1)]: exact from :func:`core.moments`, else a streamed Monte Carlo mean."""
-    exact = moments(dist)
-    if exact is not None:
-        return _exact_expectation(exact)
-    return _monte_carlo_expectation(dist, mc_samples, rng)
-
-
-def _exact_expectation(exact: Moments) -> ExpectedMatrix:
-    """The closed-form mean, validated as any input matrix: a convex combination is stochastic."""
-    return ExpectedMatrix(validate_matrix(exact.mean), exact=True, sample_count=0,
-                          entry_standard_error=0.0, positive_diagonal_support=exact.positive_diagonal)
-
-
-def _monte_carlo_expectation(
-    dist: MatrixDistribution, mc_samples: int, rng: Optional[np.random.Generator]
-) -> ExpectedMatrix:
-    """Sample mean of ``mc_samples`` draws of a generator without closed-form moments.
-
-    The draws are made and validated in slices that fit
-    ``core.BLOCK_BYTES`` and lie within one batch; batch k holds draws
-    ``[k*mc//MC_BATCHES, (k+1)*mc//MC_BATCHES)``.  Each slice is folded into
-    its batch's sum, a running mean and second moment (Chan's merge) and the
-    running minimum of the diagonal, and then dropped.  The estimate is the
-    sum of the batch sums over ``mc_samples``.
-    """
-    if mc_samples < MIN_MC_SAMPLES:
-        raise ConfigError(
-            f"generator expectation needs mc_samples >= {MIN_MC_SAMPLES}, got {mc_samples}"
-        )
-    if rng is None:
-        raise ConfigError("generator expectation needs an RNG")
-    n = dist.n
-    counts = _batch_counts(mc_samples)
-    sums = np.zeros((MC_BATCHES, n, n))
-    mean, m2 = np.zeros((n, n)), np.zeros((n, n))
-    diagonal_min = np.full(n, np.inf)
-    step = block_rows(n)
-    buffer = np.empty((min(step, counts.max()), n, n))
-    seen = 0
-    for k, count in enumerate(counts):
-        for start in range(0, count, step):
-            draws = buffer[: min(step, count - start)]
-            draw_many(dist, rng, draws)
-            diagonal_min = np.minimum(diagonal_min, draws.diagonal(axis1=1, axis2=2).min(axis=0))
-            total = draws.sum(axis=0)
-            sums[k] += total
-            # Chan's merge of the slice's mean and centred second moment
-            size = len(draws)
-            slice_mean = total / size
-            delta = slice_mean - mean
-            seen += size
-            mean += delta * (size / seen)
-            draws -= slice_mean
-            m2 += np.square(draws, out=draws).sum(axis=0) + delta**2 * ((seen - size) * size / seen)
-    se = float(np.sqrt(m2.max() / (mc_samples - 1)) / np.sqrt(mc_samples))
-    return ExpectedMatrix(
-        validate_matrix(sums.sum(axis=0) / mc_samples),
-        exact=False,
-        sample_count=mc_samples,
-        entry_standard_error=se,
-        positive_diagonal_support=bool(np.all(diagonal_min > 0.0)),
-        batch_sums=sums,
-    )
-
-
-def _batch_counts(mc_samples: int) -> np.ndarray:
-    """Draws per batch: batch k holds draws [k*mc//MC_BATCHES, (k+1)*mc//MC_BATCHES)."""
-    return np.diff([k * mc_samples // MC_BATCHES for k in range(MC_BATCHES + 1)])
-
-
-def _bootstrap_halfwidth(em: ExpectedMatrix, rng: np.random.Generator) -> float:
-    """Spread of |lambda_2| under resampling of the Monte Carlo batches.
-
-    Each resample draws MC_BATCHES batches with replacement and pools them:
-    the sum of their sums over the sum of their counts.  Eigenvalues are
-    smooth but not linear in the entries, so the uncertainty is propagated
-    by resampling rather than perturbation theory.
-    """
-    counts = _batch_counts(em.sample_count)
-    values = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        idx = rng.integers(MC_BATCHES, size=MC_BATCHES)
-        mean = em.batch_sums[idx].sum(axis=0) / counts[idx].sum()
-        values[b] = second_eigenvalue_modulus(validate_matrix(mean))
-    return float(BOOTSTRAP_SIGMA_FACTOR * values.std(ddof=1))
 
 
 def _symmetric_basis(n: int) -> np.ndarray:
@@ -237,50 +118,40 @@ def _symmetric_form(exact: Moments, n: int) -> np.ndarray:
     return basis.reshape(dim, -1) @ exact.second(basis).reshape(dim, -1).T
 
 
-def second_moment_rate(exact: Optional[Moments], n: int) -> SecondMoment:
+def second_moment_rate(exact: Moments, n: int) -> SecondMoment:
     """rho of the map X -> E[B X B^T], B being A restricted to 1-perp, from closed-form moments.
 
     The map is positive, so its spectral radius is attained on a positive
     semidefinite eigenvector: its restriction to symmetric matrices, of
     dimension d = n(n-1)/2, has the spectral radius of E[B kron B].  One
     residual-checked eigen solve of :func:`_symmetric_form` gives rho.
-    Skipped without closed-form moments, or when d exceeds ``MAX_EIGEN_DIM``.
+    Skipped when d exceeds ``MAX_EIGEN_DIM``.  A form with a non-finite
+    entry (a closed form that overflowed) is a NumericalError.
     """
     dim = n * (n - 1) // 2
-    if exact is None or dim > MAX_EIGEN_DIM:
-        return SecondMoment(rho=None, decision=None, method=SKIPPED, exact=exact is not None)
+    if dim > MAX_EIGEN_DIM:
+        return SecondMoment(rho=None, decision=None, method=SKIPPED, exact=True)
     if dim == 0:  # n = 1: there is no disagreement
         rho = 0.0
     else:
-        rho = spectral_radius(_symmetric_form(exact, n))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            form = _symmetric_form(exact, n)
+        if not np.isfinite(form).all():
+            raise NumericalError(f"second-moment form of dimension {dim} has non-finite entries")
+        rho = spectral_radius(form)
     return SecondMoment(rho=rho, decision=classify(rho), method=SYMMETRIC_FORM, exact=True)
 
 
-def random_verdict(
-    dist: MatrixDistribution,
-    mc_samples: int = 10000,
-    rng: StreamSource = None,
-) -> ConsensusVerdict:
-    """Spectral consensus decision from the exact or estimated expectation, and rho.
-
-    ``rng`` (a Generator, or a function that derives one) is used only for
-    a generator without closed-form moments: it gives the Monte Carlo draws,
-    then the bootstrap's resamples.
-    """
-    check_eigen_dimension(dist.n)  # before the Monte Carlo draws, which grow with n^2
+def random_verdict(dist: MatrixDistribution) -> ConsensusVerdict:
+    """Spectral consensus decision from the closed-form expectation, and rho."""
+    check_eigen_dimension(dist.n)  # before the n x n moments are built
     exact = moments(dist)
-    if exact is None:
-        rng = rng() if callable(rng) else rng
-        em = _monte_carlo_expectation(dist, mc_samples, rng)
-        halfwidth = _bootstrap_halfwidth(em, rng)
-    else:
-        em, halfwidth = _exact_expectation(exact), 0.0
-    lam2 = second_eigenvalue_modulus(em.matrix)
+    lam2 = second_eigenvalue_modulus(validate_matrix(exact.mean))
     return ConsensusVerdict(
         lambda2_modulus=lam2,
-        decision=classify(lam2, VERDICT_TOL + halfwidth),
-        positive_diagonal_support=em.positive_diagonal_support,
-        uncertainty_halfwidth=halfwidth,
+        decision=classify(lam2),
+        positive_diagonal_support=exact.positive_diagonal,
+        uncertainty_halfwidth=0.0,
         second_moment=second_moment_rate(exact, dist.n),
     )
 
@@ -311,11 +182,10 @@ def cross_validate(
     horizon: int,
     eps: float,
     policy: RngPolicy,
-    mc_samples: int = 10000,
     p: float = 1.0,
 ) -> ConsensusVerdict:
     """Run the spectral verdict and the simulation; report both sides verbatim."""
-    verdict = random_verdict(dist, mc_samples=mc_samples, rng=policy.expectation_stream)
+    verdict = random_verdict(dist)
     modes = estimate_modes(dist, x0, paths, horizon, eps, p, policy)
     verdict.discrepancy = discrepancy_note(verdict, modes)
     return verdict

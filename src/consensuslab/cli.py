@@ -101,8 +101,8 @@ def _emit(doc: dict, args: argparse.Namespace, manifest: dict) -> None:
 
 
 def cmd_verdict(args: argparse.Namespace) -> int:
-    dist, params, policy, manifest = _run_input(args)
-    verdict = random_verdict(dist, mc_samples=params.mc_samples, rng=policy.expectation_stream)
+    dist, _, _, manifest = _run_input(args)
+    verdict = random_verdict(dist)
     _emit(verdict.to_dict(), args, manifest)
     return EXIT_OK
 
@@ -142,7 +142,7 @@ def cmd_modes(args: argparse.Namespace) -> int:
     x0 = resolve_x0(params.x0, dist.n, policy)
     records = run_paths(dist, x0, params.paths, params.horizon, policy)
     report = summarize_modes(records, params.eps, params.p)
-    verdict = random_verdict(dist, mc_samples=params.mc_samples, rng=policy.expectation_stream)
+    verdict = random_verdict(dist)
     verdict.discrepancy = discrepancy_note(verdict, report)
     doc = report.to_dict()
     doc["verdict"] = verdict.to_dict()
@@ -186,7 +186,7 @@ _FLAGS = {
     "--eps": dict(type=float),
     "--p": dict(type=float),
     "--x0": dict(help="'uniform01' or comma-separated reals"),
-    "--mc-samples": dict(dest="mc_samples", type=int),
+    "--mc-samples": dict(dest="mc_samples", type=int, help="accepted; has no effect"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--threads": dict(type=int, default=1, help="accepted; has no effect"),
 }

@@ -64,7 +64,10 @@ def validate_matrix(raw: Any) -> StochasticMatrix:
     are never renormalized, a bad row sum is a config bug the caller must
     see.
     """
-    arr = np.array(raw, dtype=float)
+    try:
+        arr = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise MatrixValidationError("matrix must be a square array of numbers") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MatrixValidationError(
             f"matrix must be square, got shape {arr.shape}"
@@ -143,17 +146,14 @@ def checked_number(
 # --- parametric generators -------------------------------------------------
 
 # name -> factory(params) returning (n, sampler); sampler(rng) yields one raw
-# matrix which is then re-validated on every draw.  A sampler may carry a
-# `bulk(rng, out)` attribute that fills a (count, n, n) block with the bits
-# of count consecutive sampler(rng) calls and leaves rng in the same state.
-# A sampler whose draw is one integer choice may instead carry `picks(rng,
-# count)`, the choices of count consecutive sampler(rng) calls (same bits,
-# same rng state after), and `from_picks(k, out)`, which writes the matrices
-# of choices k into a (len(k), n, n) block; the engine draws a path's whole
-# horizon of picks up front, as it does a finite distribution's atom picks.
-# A sampler whose draw has closed-form moments carries `moments()`, which
-# returns them as a `Moments` (or None, for a lifted pair with a part that
-# has none); see :func:`moments`.
+# matrix which is then re-validated on every draw.  Every sampler carries
+# `moments()`, which returns its draw's closed-form `Moments`; see
+# :func:`moments`.  A sampler whose draw is one integer choice may also carry
+# `picks(rng, count)`, the choices of count consecutive sampler(rng) calls
+# (same bits, same rng state after), and `from_picks(k, out)`, which writes
+# the matrices of choices k into a (len(k), n, n) block; the engine draws a
+# path's whole horizon of picks up front, as it does a finite distribution's
+# atom picks.
 Sampler = Callable[[np.random.Generator], np.ndarray]
 GeneratorFactory = Callable[[dict], tuple[int, Sampler]]
 
@@ -251,9 +251,6 @@ def _dirichlet_rows(params: dict):
     def draw(rng: np.random.Generator) -> np.ndarray:
         return rng.dirichlet(conc, size=n)
 
-    def draw_bulk(rng: np.random.Generator, out: np.ndarray) -> None:
-        out[:] = rng.dirichlet(conc, size=(len(out), n))
-
     def exact_moments() -> Moments:
         # independent rows a_i with E[a_i] = 1/n and
         # E[a_i a_i^T] = (alpha^2 J + alpha I) / (n alpha (n alpha + 1))
@@ -264,7 +261,7 @@ def _dirichlet_rows(params: dict):
 
         return Moments(np.full((n, n), 1.0 / n), second, True)
 
-    draw.bulk, draw.moments = draw_bulk, exact_moments
+    draw.moments = exact_moments
     return n, draw
 
 
@@ -318,12 +315,10 @@ def _lifted_pair(params: dict):
         b = sample(dist_b, rng).entries
         return companion_block(alpha, a, beta, b)
 
-    def exact_moments() -> Optional[Moments]:
+    def exact_moments() -> Moments:
         # C = [[alpha A, beta B], [I, 0]] with A and B independent, so the
         # cross terms of E[C S C^T] factor: E[A X B^T] = E[A] X E[B]^T
         part_a, part_b = moments(dist_a), moments(dist_b)
-        if part_a is None or part_b is None:
-            return None
         mean_a, mean_b = part_a.mean, part_b.mean
 
         def second(s: np.ndarray) -> np.ndarray:
@@ -425,12 +420,11 @@ class MatrixDistribution:
         return {"type": "generator", "name": self.name, "params": self.params}
 
 
-def moments(dist: MatrixDistribution) -> Optional[Moments]:
+def moments(dist: MatrixDistribution) -> Moments:
     """E[A], the map S -> E[A S A^T] and the positive-diagonal fact, in closed form.
 
-    Exact for dirac and finite distributions, and for a generator whose
-    sampler carries a ``moments`` hook, as every built-in does; None for a
-    generator without one (or a lifted pair with such a part).
+    Exact for every distribution: dirac, finite, and every generator, through
+    its sampler's ``moments`` hook.
     """
     if dist.kind == "dirac":
         a = dist.matrix.entries
@@ -443,8 +437,7 @@ def moments(dist: MatrixDistribution) -> Optional[Moments]:
 
         mean = sum(p * m.entries for p, m in atoms)
         return Moments(mean, second, all(m.has_positive_diagonal() for p, m in atoms if p > 0))
-    hook = getattr(dist._draw, "moments", None)
-    return None if hook is None else hook()
+    return dist._draw.moments()
 
 
 def pick_atoms(probs: Sequence[float], u: Union[float, np.ndarray]) -> Union[int, np.ndarray]:
@@ -483,19 +476,14 @@ def sample(dist: MatrixDistribution, rng: np.random.Generator) -> StochasticMatr
     return validate_matrix(_generator_draw(dist, rng))
 
 
-# Cap on the bytes of one block of drawn n x n matrices: the engine and the
-# Monte Carlo expectation draw, validate and apply matrices a block at a time.
+# Cap on the bytes of one block of drawn n x n matrices: the engine draws,
+# validates and applies matrices a block at a time.
 BLOCK_BYTES = 1 << 22
-
-
-def block_rows(n: int) -> int:
-    """How many n x n float matrices fit BLOCK_BYTES; at least one."""
-    return max(1, BLOCK_BYTES // (8 * n * n))
 
 
 def block_slices(count: int, n: int) -> list[slice]:
     """Consecutive slices of range(count) whose (len, n, n) float blocks fit BLOCK_BYTES."""
-    step = block_rows(n)
+    step = max(1, BLOCK_BYTES // (8 * n * n))
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
@@ -513,31 +501,6 @@ def draw_block(
         except ConfigError:
             validate_block(out[:j])  # an earlier bad draw is reported first
             raise
-    validate_block(out)
-
-
-def draw_many(dist: MatrixDistribution, rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out[j]`` with the j-th consecutive draw of generator ``dist`` from ``rng``; validate.
-
-    A sampler with ``picks``/``from_picks`` hooks builds the block from one
-    call's picks, and one with a ``bulk`` attribute draws it in one call;
-    both with the bits of one-at-a-time draws.  Without either, the draws
-    are made one at a time through :func:`draw_block`, which raises the
-    error that one-by-one :func:`sample` calls would.
-    """
-    draw = dist._draw
-    if not (hasattr(draw, "from_picks") or hasattr(draw, "bulk")):
-        draw_block(dist, [rng] * len(out), out)
-        return
-    try:
-        if hasattr(draw, "from_picks"):
-            draw.from_picks(draw.picks(rng, len(out)), out)
-        else:
-            draw.bulk(rng, out)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError(f"generator {dist.name!r} failed: {exc}") from exc
     validate_block(out)
 
 
@@ -682,7 +645,6 @@ def spawn_streams(
 
 _STREAM_PATHS = 0
 _STREAM_X0 = 1
-_STREAM_EXPECTATION = 2
 
 
 @dataclass(frozen=True)
@@ -706,15 +668,12 @@ class RngPolicy:
     def x0_stream(self) -> np.random.Generator:
         return spawn_streams(self.master_seed, (_STREAM_X0,), [0])[0]
 
-    def expectation_stream(self) -> np.random.Generator:
-        return spawn_streams(self.master_seed, (_STREAM_EXPECTATION,), [0])[0]
-
 
 # --- configuration ---------------------------------------------------------
 
 MAX_SEED = 2**64 - 1
-# Monte Carlo draws of a generator expectation: enough for the bootstrap's
-# batch means, and few enough that a run ends.
+# Bounds of the mc_samples field, which is accepted and checked but has no
+# effect: every verdict uses closed-form moments.
 MIN_MC_SAMPLES = 1000
 MAX_MC_SAMPLES = 10**9
 
@@ -735,7 +694,7 @@ class RunParams:
     on construction, so config values and flag overrides (applied with
     ``dataclasses.replace``) pass the same checks.  The seed must fit 64
     bits, and ``mc_samples`` lies in [MIN_MC_SAMPLES, MAX_MC_SAMPLES]
-    whatever the distribution, before anything is drawn.
+    whatever the distribution, though nothing reads it.
     """
 
     paths: int = 200
@@ -794,7 +753,12 @@ def distribution_from_config(doc: dict) -> MatrixDistribution:
     elif kind == "generator":
         if "name" not in spec:
             raise ConfigError("generator distribution missing 'name'")
-        dist = MatrixDistribution.generator(spec["name"], spec.get("params", {}))
+        name, params = spec["name"], spec.get("params", {})
+        if not isinstance(name, str):
+            raise ConfigError(f"generator 'name' must be a string, got {type(name).__name__}")
+        if not isinstance(params, dict):
+            raise ConfigError(f"generator 'params' must be an object, got {type(params).__name__}")
+        dist = MatrixDistribution.generator(name, params)
     else:
         raise ConfigError(f"unknown distribution type {kind!r}")
     if "n" in doc and checked_number(int, "config field n", doc["n"]) != dist.n:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from consensuslab import MatrixDistribution, core, validate_matrix
+from consensuslab import MatrixDistribution, validate_matrix
 
 
 def random_stochastic(rng, n):
@@ -34,27 +34,3 @@ def identity_swap_mixture(swap2):
 @pytest.fixture
 def gossip3():
     return MatrixDistribution.generator("pairwise_gossip", {"n": 3})
-
-
-def _without_moments(factory):
-    """``factory`` with its sampler's draw hooks kept and its ``moments`` hook dropped."""
-
-    def bare_factory(params):
-        n, draw = factory(params)
-
-        def bare(rng):
-            return draw(rng)
-
-        for hook in ("bulk", "picks", "from_picks"):
-            if hasattr(draw, hook):
-                setattr(bare, hook, getattr(draw, hook))
-        return n, bare
-
-    return bare_factory
-
-
-@pytest.fixture
-def without_moments(monkeypatch):
-    """Every generator re-registered without closed-form moments: the Monte Carlo path runs."""
-    for name, factory in list(core._GENERATORS.items()):
-        monkeypatch.setitem(core._GENERATORS, name, _without_moments(factory))

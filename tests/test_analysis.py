@@ -1,6 +1,4 @@
 import itertools
-import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,16 +9,14 @@ from consensuslab import (
     RngPolicy,
     cross_validate,
     deterministic_verdict,
-    expected_matrix,
     lift_second_order,
     moments,
     random_verdict,
     sample,
     validate_matrix,
 )
-from consensuslab import core
-from consensuslab.analysis import BOOTSTRAP_RESAMPLES, BOOTSTRAP_SIGMA_FACTOR, MC_BATCHES
-from consensuslab.core import MatrixValidationError, companion_block, draw_many
+from consensuslab import analysis
+from consensuslab.core import companion_block, registered_generators
 from consensuslab.spectral import second_eigenvalue_modulus
 
 from conftest import random_stochastic
@@ -38,33 +34,16 @@ def gossip3_finite():
     )
 
 
-class TestExpectedMatrix:
+class TestExpectedMean:
     def test_identity_swap_mixture(self, identity_swap_mixture):
-        em = expected_matrix(identity_swap_mixture)
-        assert em.exact and em.sample_count == 0 and em.entry_standard_error == 0.0
-        assert np.allclose(em.matrix.entries, 0.5, atol=1e-15)
+        mean = validate_matrix(moments(identity_swap_mixture).mean)
+        assert np.allclose(mean.entries, 0.5, atol=1e-15)
 
     def test_gossip_finite_support_average(self):
         # hand average of the three pair matrices: 2/3 diagonal, 1/6 off
-        em = expected_matrix(gossip3_finite())
+        mean = validate_matrix(moments(gossip3_finite()).mean)
         expected = np.full((3, 3), 1 / 6) + np.eye(3) / 2
-        assert em.exact
-        assert np.max(np.abs(em.matrix.entries - expected)) <= 1e-15
-
-    @pytest.mark.usefixtures("without_moments")
-    def test_dirichlet_rows_monte_carlo(self):
-        dist = MatrixDistribution.generator("dirichlet_rows", {"n": 2, "alpha": 1.0})
-        rng = np.random.default_rng(13)
-        em = expected_matrix(dist, mc_samples=100_000, rng=rng)
-        assert not em.exact and em.sample_count == 100_000
-        # Dirichlet(1,1) rows are uniform on the simplex: mean entry is 1/2
-        assert np.max(np.abs(em.matrix.entries - 0.5)) <= 4 * em.entry_standard_error
-
-    @pytest.mark.usefixtures("without_moments")
-    def test_generator_needs_enough_samples(self):
-        dist = MatrixDistribution.generator("dirichlet_rows", {"n": 2, "alpha": 1.0})
-        with pytest.raises(ConfigError, match="mc_samples"):
-            expected_matrix(dist, mc_samples=10, rng=np.random.default_rng(0))
+        assert np.max(np.abs(mean.entries - expected)) <= 1e-15
 
 
 class TestRandomVerdict:
@@ -86,20 +65,21 @@ class TestRandomVerdict:
         assert v.decision == "consensus"
         assert not v.positive_diagonal_support  # swap atom has a zero diagonal
 
-    @pytest.mark.usefixtures("without_moments")
-    def test_generator_bootstrap_halfwidth(self):
-        dist = MatrixDistribution.generator("dirichlet_rows", {"n": 3, "alpha": 2.0})
-        rng = np.random.default_rng(4)
-        v = random_verdict(dist, mc_samples=2000, rng=rng)
-        assert v.uncertainty_halfwidth > 0.0
-        assert v.decision == "consensus"
-
     def test_exact_verdict_independent_of_seed(self):
         values = {
-            random_verdict(gossip3_finite(), rng=np.random.default_rng(s)).lambda2_modulus
+            cross_validate(gossip3_finite(), np.array([1.0, 0.0, 0.0]), 5, 5, 1e-3,
+                           RngPolicy(s)).lambda2_modulus
             for s in range(5)
         }
         assert len(values) == 1
+
+    def test_dimension_refused_before_the_moments_are_built(self, monkeypatch):
+        def unbuilt(dist):
+            raise AssertionError("moments built for a refused dimension")
+
+        monkeypatch.setattr(analysis, "moments", unbuilt)
+        with pytest.raises(ConfigError, match="dimension 300 exceeds supported maximum 256"):
+            random_verdict(MatrixDistribution.generator("lazy_permutation", {"n": 300}))
 
     def test_dirac_matches_deterministic(self, rng):
         for _ in range(100):
@@ -244,110 +224,6 @@ def _generator_cases():
     }
 
 
-def _full_bootstrap_halfwidth(dist, mc, seed):
-    """The bootstrap over every stored draw that the batch-means bootstrap replaced."""
-    rng = np.random.default_rng(seed)
-    draws = np.empty((mc, dist.n, dist.n))
-    draw_many(dist, rng, draws)
-    values = [
-        second_eigenvalue_modulus(validate_matrix(draws[rng.integers(mc, size=mc)].mean(axis=0)))
-        for _ in range(BOOTSTRAP_RESAMPLES)
-    ]
-    return BOOTSTRAP_SIGMA_FACTOR * np.std(values, ddof=1)
-
-
-class TestStreamedMonteCarlo:
-    @pytest.mark.usefixtures("without_moments")
-    @pytest.mark.parametrize("slice_matrices", [None, 3])
-    @pytest.mark.parametrize("mc", [1000, 2345])
-    @pytest.mark.parametrize("name", sorted(_generator_cases()))
-    def test_moments_match_stored_draws(self, name, mc, slice_matrices, monkeypatch):
-        dist = MatrixDistribution.generator(name, _generator_cases()[name])
-        if slice_matrices is not None:
-            monkeypatch.setattr(core, "BLOCK_BYTES", slice_matrices * 8 * dist.n**2)
-        em = expected_matrix(dist, mc_samples=mc, rng=np.random.default_rng(8))
-        rng = np.random.default_rng(8)
-        draws = np.stack([sample(dist, rng).entries for _ in range(mc)])
-        # an exactly rounded mean: numpy's axis-0 mean of the draws is off by up to 2e-15
-        exact = np.array([[math.fsum(draws[:, i, j]) / mc for j in range(dist.n)]
-                          for i in range(dist.n)])
-        assert np.max(np.abs(em.matrix.entries - exact)) <= 1e-15
-        se = draws.std(axis=0, ddof=1).max() / np.sqrt(mc)
-        assert em.entry_standard_error == pytest.approx(se, rel=1e-12, abs=0)
-        diagonal = draws[:, np.arange(dist.n), np.arange(dist.n)]
-        assert em.positive_diagonal_support == bool(np.all(diagonal > 0.0))
-        bounds = [k * mc // MC_BATCHES for k in range(MC_BATCHES + 1)]
-        batch_sums = np.stack([draws[a:b].sum(axis=0) for a, b in itertools.pairwise(bounds)])
-        assert np.max(np.abs(em.batch_sums - batch_sums)) <= 1e-12
-        assert not hasattr(em, "samples")
-
-    @pytest.mark.parametrize("bulk", [True, False])
-    def test_bad_draw_in_second_slice_reported(self, bulk, monkeypatch):
-        n, bad_index = 3, 4  # three draws per slice: draw 4 is in the second
-
-        def spoil(m):
-            m[1, 1] += 0.25
-
-        def factory(params):
-            count = itertools.count()
-
-            def draw(rng):
-                m = np.eye(n)
-                if next(count) == bad_index:
-                    spoil(m)
-                return m
-
-            def draw_bulk(rng, out):
-                out[:] = np.eye(n)
-                for m in out:
-                    if next(count) == bad_index:
-                        spoil(m)
-
-            if bulk:
-                draw.bulk = draw_bulk
-            return n, draw
-
-        monkeypatch.setitem(core._GENERATORS, "spoiled", factory)
-        monkeypatch.setattr(core, "BLOCK_BYTES", 3 * 8 * n**2)
-        bad = np.eye(n)
-        spoil(bad)
-        with pytest.raises(MatrixValidationError) as expected:
-            validate_matrix(bad)
-        dist = MatrixDistribution.generator("spoiled", {})
-        with pytest.raises(MatrixValidationError) as err:
-            expected_matrix(dist, mc_samples=1000, rng=np.random.default_rng(0))
-        assert str(err.value) == str(expected.value)
-        assert str(err.value).startswith("row 1 sums to 1.25")
-
-    @pytest.mark.usefixtures("without_moments")
-    @pytest.mark.parametrize("name, params", [
-        ("dirichlet_rows", {"n": 4, "alpha": 0.5}),
-        ("lazy_permutation", {"n": 4}),
-        ("pairwise_gossip", {"n": 4}),
-    ])
-    def test_batch_means_halfwidth_tracks_full_bootstrap(self, name, params):
-        dist = MatrixDistribution.generator(name, params)
-        mc = 2000
-        ratios = [
-            random_verdict(dist, mc_samples=mc, rng=np.random.default_rng(seed)).uncertainty_halfwidth
-            / _full_bootstrap_halfwidth(dist, mc, seed)
-            for seed in range(20)
-        ]
-        assert 0.85 <= np.median(ratios) <= 1.2
-
-    @pytest.mark.usefixtures("without_moments")
-    def test_memory_does_not_grow_with_sample_count(self):
-        dist = MatrixDistribution.generator("dirichlet_rows", {"n": 8, "alpha": 1.0})
-        tracemalloc.start()
-        try:
-            expected_matrix(dist, mc_samples=200_000, rng=np.random.default_rng(2))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the 200k draws alone would take 102 MB
-        assert peak < 16 * 2**20
-
-
 def _finite(pairs):
     return MatrixDistribution.finite([(p, validate_matrix(m)) for p, m in pairs])
 
@@ -416,13 +292,6 @@ class TestClosedFormMoments:
             se = samples.std(axis=0, ddof=1) / np.sqrt(count)
             assert np.all(np.abs(samples.mean(axis=0) - want) <= 4 * se)
 
-    def test_generator_without_hook_has_none(self, without_moments):
-        assert moments(MatrixDistribution.generator("dirichlet_rows", {"n": 3})) is None
-        config = {"n": 3, "distribution": {"type": "dirac", "matrix": np.eye(3).tolist()}}
-        lifted = MatrixDistribution.generator(
-            "lifted_pair", {"alpha": 0.5, "beta": 0.5, "dist_a": config, "dist_b": config})
-        assert moments(lifted) is None
-
     @pytest.mark.parametrize("name, params, positive", [
         ("pairwise_gossip", {"n": 4}, True),
         ("dirichlet_rows", {"n": 4, "alpha": 0.3}, True),
@@ -433,9 +302,7 @@ class TestClosedFormMoments:
         ("lifted_pair", _generator_cases()["lifted_pair"], False),
     ])
     def test_exact_positive_diagonal_support(self, name, params, positive):
-        em = expected_matrix(MatrixDistribution.generator(name, params))
-        assert em.exact and em.sample_count == 0 and em.entry_standard_error == 0.0
-        assert em.positive_diagonal_support is positive
+        assert moments(MatrixDistribution.generator(name, params)).positive_diagonal is positive
 
     @pytest.mark.parametrize("name, params, mean", [
         ("pairwise_gossip", {"n": 4}, np.eye(4) - (4 * np.eye(4) - 1) / 12),
@@ -444,11 +311,19 @@ class TestClosedFormMoments:
     ])
     def test_generator_verdict_is_exact(self, name, params, mean):
         dist = MatrixDistribution.generator(name, params)
-        v = random_verdict(dist)  # no RNG: nothing is drawn
+        v = random_verdict(dist)
         assert v.uncertainty_halfwidth == 0.0
         assert v.lambda2_modulus == pytest.approx(second_eigenvalue_modulus(validate_matrix(mean)),
                                                   abs=1e-12)
-        assert expected_matrix(dist).matrix.allclose(validate_matrix(mean), tol=1e-15)
+        assert validate_matrix(moments(dist).mean).allclose(validate_matrix(mean), tol=1e-15)
+
+    def test_every_registered_generator_has_the_hook(self):
+        cases = _generator_cases()
+        assert set(cases) == set(registered_generators())
+        for name, params in cases.items():
+            dist = MatrixDistribution.generator(name, params)
+            assert callable(dist._draw.moments)
+            assert moments(dist).mean.shape == (dist.n, dist.n)
 
 
 class TestSecondMomentRate:
@@ -499,20 +374,3 @@ class TestSecondMomentRate:
             sm = random_verdict(MatrixDistribution.generator("pairwise_gossip", {"n": n})).second_moment
             assert sm.method == method and sm.exact
         assert sm.rho is None and sm.decision is None
-
-    def test_skipped_without_closed_form(self, without_moments):
-        dist = MatrixDistribution.generator("dirichlet_rows", {"n": 3})
-        v = random_verdict(dist, mc_samples=1000, rng=np.random.default_rng(1))
-        assert v.uncertainty_halfwidth > 0.0
-        assert v.to_dict()["second_moment"] == {
-            "rho": None, "decision": None, "method": "skipped", "exact": False}
-
-    def test_stream_derived_only_for_monte_carlo(self, without_moments):
-        calls = []
-
-        def stream():
-            calls.append(1)
-            return np.random.default_rng(3)
-
-        random_verdict(MatrixDistribution.generator("dirichlet_rows", {"n": 3}), rng=stream)
-        assert calls == [1]

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from consensuslab import RngPolicy, cli
+from consensuslab import cli
 from consensuslab.cli import main
 from consensuslab.selfcheck import PROPERTIES, run_selfcheck
 
@@ -209,6 +209,18 @@ def test_bad_run_input_exits_without_traceback(simulation, flags, code, tmp_path
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _dirac(matrix):
+    return {"distribution": {"type": "dirac", "matrix": matrix}}
+
+
+def _one_atom(matrix):
+    return {"distribution": {"type": "finite", "atoms": [{"prob": 1.0, "matrix": matrix}]}}
+
+
+def _named_generator(name, params):
+    return {"distribution": {"type": "generator", "name": name, "params": params}}
+
+
 def _lifted_gossip(alpha):
     gossip = {"n": 3, "distribution": GOSSIP_CONFIG["distribution"]}
     return {"n": 6, "distribution": {"type": "generator", "name": "lifted_pair", "params": {
@@ -235,6 +247,21 @@ def _lifted_gossip(alpha):
         pytest.param("modes", dict(MIXTURE_CONFIG, distribution={"type": "finite", "atoms": [
             dict(atom, prob="x") for atom in MIXTURE_CONFIG["distribution"]["atoms"]]}),
             "atom 0 prob must be a number", id="atom_prob_not_a_number"),
+        # matrices numpy cannot read as one float array
+        pytest.param("verdict", _dirac("abc"), "matrix must be a square array of numbers",
+                     id="dirac_matrix_string"),
+        pytest.param("modes", _dirac([[1], [0, 1]]), "matrix must be a square array of numbers",
+                     id="dirac_matrix_ragged"),
+        pytest.param("verdict", _one_atom({"a": 1}),
+                     "atom 0: matrix must be a square array of numbers", id="atom_matrix_object"),
+        pytest.param("modes", _one_atom([[1], [0, 1]]),
+                     "atom 0: matrix must be a square array of numbers", id="atom_matrix_ragged"),
+        pytest.param("verdict", _named_generator("dirichlet_rows", 5),
+                     "generator 'params' must be an object, got int", id="params_number"),
+        pytest.param("modes", _named_generator("dirichlet_rows", "ab"),
+                     "generator 'params' must be an object, got str", id="params_string"),
+        pytest.param("verdict", _named_generator([], {}),
+                     "generator 'name' must be a string, got list", id="name_list"),
     ],
 )
 def test_bad_config_exits_2_with_one_line(command, doc, named, tmp_path, capsys):
@@ -308,6 +335,14 @@ def _dirichlet3(alpha):
                      "mc_samples must be >= 1000, got 999", id="finite_mc_samples_999"),
         pytest.param(dict(GOSSIP_CONFIG, simulation={"mc_samples": 10**9 + 1}), ["verdict"],
                      "run too large for memory: mc_samples 1000000001", id="mc_samples_above_1e9"),
+        pytest.param(_dirac("abc"), ["simulate"], "matrix must be a square array of numbers",
+                     id="simulate_dirac_matrix_string"),
+        pytest.param(_one_atom({"a": 1}), ["simulate"],
+                     "atom 0: matrix must be a square array of numbers", id="simulate_atom_object"),
+        pytest.param(_named_generator("dirichlet_rows", 5), ["simulate"],
+                     "generator 'params' must be an object, got int", id="simulate_params_number"),
+        pytest.param(_named_generator([], {}), ["simulate"],
+                     "generator 'name' must be a string, got list", id="simulate_name_list"),
         pytest.param(GOSSIP_CONFIG, ["simulate", "--seed", "99999999999999999999999"],
                      "seed must be below 2^64, got 99999999999999999999999", id="seed_above_2_64"),
         pytest.param(dict(IDENTITY_CONFIG, simulation={"seed": 2**64}), ["verdict"],
@@ -348,6 +383,17 @@ def test_eigen_failure_exits_3_with_a_short_line(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err) < 200
     assert err.startswith("numerical failure: ") and f"{n}x{n}" in err
+
+
+@pytest.mark.parametrize("command", ["verdict", "modes"])
+def test_second_moment_overflow_exits_3_with_one_line(command, tmp_path, capsys):
+    # alpha * alpha overflows in the closed-form Dirichlet second moment
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(_named_generator("dirichlet_rows", {"n": 3, "alpha": 1e200}),
+                                   simulation={"paths": 4, "horizon": 5})))
+    assert main([command, "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: second-moment form of dimension 3 has non-finite entries\n"
 
 
 # every flag a command accepted before without reading it
@@ -487,12 +533,7 @@ class TestSelfcheckRunner:
 
 
 @pytest.mark.parametrize("command", ["verdict", "modes"])
-def test_builtin_generator_derives_no_expectation_stream(command, gossip_config, monkeypatch,
-                                                         capsys):
-    def underived(self):
-        raise AssertionError("the expectation stream was derived")
-
-    monkeypatch.setattr(RngPolicy, "expectation_stream", underived)
+def test_builtin_generator_verdict_is_exact(command, gossip_config, capsys):
     assert main([command, "--config", gossip_config]) == 0
     doc = json.loads(capsys.readouterr().out)
     verdict = doc if command == "verdict" else doc["verdict"]
@@ -501,14 +542,6 @@ def test_builtin_generator_derives_no_expectation_stream(command, gossip_config,
     assert verdict["second_moment"] == {
         "rho": pytest.approx(0.5, abs=1e-12), "decision": "consensus",
         "method": "symmetric_form", "exact": True}
-
-
-def test_generator_without_closed_form_uses_monte_carlo(gossip_config, without_moments, capsys):
-    assert main(["verdict", "--config", gossip_config, "--mc-samples", "2000"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["uncertainty_halfwidth"] > 0.0
-    assert abs(doc["lambda2_modulus"] - 0.5) < 0.1
-    assert doc["second_moment"]["method"] == "skipped"
 
 
 def test_lazy_permutation_second_moment_flags_the_lambda2_rule(tmp_path, capsys):

@@ -19,7 +19,6 @@ from consensuslab import (
     zero_one_probe,
 )
 from consensuslab import core, dynamics
-from consensuslab.analysis import expected_matrix
 from consensuslab.core import MatrixValidationError, registered_generators
 from consensuslab.dynamics import (
     TrajectoryRecord,
@@ -392,12 +391,6 @@ def test_block_validator_reports_first_bad_draw(monkeypatch):
         run_paths(dist, np.linspace(0.0, 1.0, 4), paths, 4, RngPolicy(3))
     assert str(err.value) == _message(made[0])
     assert str(err.value).startswith("row 1 sums to")
-
-    made.clear()
-    dist = MatrixDistribution.generator("pairwise_gossip", {"n": 4})
-    with pytest.raises(MatrixValidationError) as err:
-        expected_matrix(dist, mc_samples=1000, rng=np.random.default_rng(0))
-    assert str(err.value) == _message(made[0])
 
 
 def test_bad_draw_reported_before_a_later_generator_failure(monkeypatch):
