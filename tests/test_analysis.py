@@ -16,8 +16,9 @@ from consensuslab import (
     validate_matrix,
 )
 from consensuslab import analysis
+from consensuslab.analysis import second_moment_rate
 from consensuslab.core import companion_block, registered_generators
-from consensuslab.spectral import second_eigenvalue_modulus
+from consensuslab.spectral import NumericalError, second_eigenvalue_modulus
 
 from conftest import random_stochastic
 
@@ -224,6 +225,24 @@ def _generator_cases():
     }
 
 
+# generators whose closed-form moments are checked against their own sampler's draws
+_SAMPLER_CASES = {
+    **{f"dirichlet_n{n}_alpha{a}": ("dirichlet_rows", {"n": n, "alpha": a})
+       for a in (0.05, 1.0, 3.0) for n in (2, 16)},
+    **{f"gossip_n{n}": ("pairwise_gossip", {"n": n}) for n in (2, 3, 10)},
+    "lazy_permutation_n4": ("lazy_permutation", {"n": 4, "hold_prob": 0.3}),
+    "lifted_pair": ("lifted_pair", _generator_cases()["lifted_pair"]),
+}
+
+
+def _exact_and_drawn(case, count=10_000):
+    """The closed-form moments of a generator case and ``count`` draws of its own sampler."""
+    name, params = _SAMPLER_CASES[case]
+    dist = MatrixDistribution.generator(name, params)
+    rng = np.random.default_rng(29)
+    return moments(dist), np.stack([sample(dist, rng).entries for _ in range(count)])
+
+
 def _finite(pairs):
     return MatrixDistribution.finite([(p, validate_matrix(m)) for p, m in pairs])
 
@@ -317,6 +336,21 @@ class TestClosedFormMoments:
                                                   abs=1e-12)
         assert validate_matrix(moments(dist).mean).allclose(validate_matrix(mean), tol=1e-15)
 
+    @pytest.mark.parametrize("case", sorted(_SAMPLER_CASES))
+    def test_mean_matches_the_samplers_draws(self, case):
+        exact, draws = _exact_and_drawn(case)
+        se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
+        assert np.all(np.abs(draws.mean(axis=0) - exact.mean) <= 4.5 * se + 1e-12)
+
+    @pytest.mark.parametrize("case", sorted(_SAMPLER_CASES))
+    def test_second_moment_matches_the_samplers_draws(self, case):
+        exact, draws = _exact_and_drawn(case)
+        n = draws.shape[-1]
+        s = np.random.default_rng(17).normal(size=(n, n))  # E[A S A^T] holds for every S
+        samples = draws @ s @ draws.swapaxes(1, 2)
+        se = samples.std(axis=0, ddof=1) / np.sqrt(len(draws))
+        assert np.all(np.abs(samples.mean(axis=0) - exact.second(s)) <= 4.5 * se + 1e-12)
+
     def test_every_registered_generator_has_the_hook(self):
         cases = _generator_cases()
         assert set(cases) == set(registered_generators())
@@ -368,6 +402,15 @@ class TestSecondMomentRate:
     def test_one_node_has_no_disagreement(self):
         sm = random_verdict(MatrixDistribution.dirac(validate_matrix([[1.0]]))).second_moment
         assert sm.rho == 0.0 and sm.decision == "consensus"
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_overflowing_closed_form_is_a_numerical_error(self, n):
+        # alpha * alpha overflows in the Dirichlet second moment
+        dist = MatrixDistribution.generator("dirichlet_rows", {"n": n, "alpha": 1e200})
+        dim = n * (n - 1) // 2
+        with pytest.raises(NumericalError) as err:
+            second_moment_rate(moments(dist), n)
+        assert str(err.value) == f"second-moment form of dimension {dim} has non-finite entries"
 
     def test_skipped_above_the_eigen_limit(self):
         for n, method in ((23, "symmetric_form"), (24, "skipped")):

@@ -544,6 +544,25 @@ def test_builtin_generator_verdict_is_exact(command, gossip_config, capsys):
         "method": "symmetric_form", "exact": True}
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["verdict", "modes"])
+def test_mc_samples_accepted_without_effect(command, source, tmp_path, capsys):
+    def run(mc_samples):
+        simulation = dict(GOSSIP_CONFIG["simulation"])
+        flags = []
+        if mc_samples is not None and source == "config":
+            simulation["mc_samples"] = mc_samples
+        elif mc_samples is not None:
+            flags = ["--mc-samples", str(mc_samples)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(GOSSIP_CONFIG, simulation=simulation)))
+        assert main([command, "--config", str(cfg), *flags]) == 0
+        return capsys.readouterr().out
+
+    baseline = run(None)
+    assert run(1000) == baseline and run(10**9) == baseline
+
+
 def test_lazy_permutation_second_moment_flags_the_lambda2_rule(tmp_path, capsys):
     cfg = tmp_path / "lazy.json"
     cfg.write_text(json.dumps({"n": 4, "distribution": {

@@ -15,6 +15,7 @@ from consensuslab import (
 from consensuslab.core import (
     MatrixValidationError,
     checked_number,
+    distribution_from_config,
     pick_atoms,
     registered_generators,
     resolve_x0,
@@ -53,6 +54,14 @@ class TestValidateMatrix:
         with pytest.raises(MatrixValidationError) as exc:
             validate_matrix(raw)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("raw", ["abc", [[1], [0, 1]], {"a": 1}, [["x", "y"], ["z", "w"]],
+                                     [[1.0, [0.0]], [0.0, 1.0]]],
+                             ids=["string", "ragged", "object", "strings", "nested_entry"])
+    def test_unreadable_raw_refused(self, raw):
+        with pytest.raises(MatrixValidationError) as exc:
+            validate_matrix(raw)
+        assert str(exc.value) == "matrix must be a square array of numbers"
 
     def test_non_square_rejected(self):
         with pytest.raises(MatrixValidationError, match="square"):
@@ -136,6 +145,18 @@ class TestSampling:
             MatrixDistribution.generator("dirichlet_rows", {"n": 3, "alpha": -1})
         with pytest.raises(ConfigError, match="hold_prob"):
             MatrixDistribution.generator("lazy_permutation", {"n": 3, "hold_prob": 2})
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"name": "dirichlet_rows", "params": 5}, "generator 'params' must be an object, got int"),
+        ({"name": "dirichlet_rows", "params": "ab"}, "generator 'params' must be an object, got str"),
+        ({"name": "pairwise_gossip", "params": [3]}, "generator 'params' must be an object, got list"),
+        ({"name": [], "params": {}}, "generator 'name' must be a string, got list"),
+        ({"name": 3, "params": {"n": 3}}, "generator 'name' must be a string, got int"),
+    ], ids=["params_int", "params_str", "params_list", "name_list", "name_int"])
+    def test_generator_spec_types_checked(self, spec, message):
+        with pytest.raises(ConfigError) as exc:
+            distribution_from_config({"distribution": {"type": "generator", **spec}})
+        assert str(exc.value) == message
 
     def test_registered_set(self):
         assert set(registered_generators()) == {
