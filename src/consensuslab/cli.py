@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from typing import Optional
 
 from . import __version__
@@ -27,13 +27,14 @@ from .core import (
     resolve_x0,
 )
 from .dynamics import (
+    estimate_modes,
     run_paths,
     summarize_modes,
     paths_as_json,
     write_aggregate_csv,
     write_path_csv,
 )
-from .spectral import NumericalError, check_eigen_dimension, classify, second_eigenvalue_modulus
+from .spectral import NumericalError, classify, second_eigenvalue_modulus
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
@@ -44,10 +45,8 @@ EXIT_SELFCHECK = 5
 
 
 def _parse_x0(text: str):
-    if text == "uniform01":
-        return text
     try:
-        return [float(tok) for tok in text.split(",")]
+        return text if text == "uniform01" else [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--x0 must be 'uniform01' or comma-separated reals, got {text!r}") from exc
 
@@ -68,13 +67,10 @@ def _read_config(path: str) -> tuple[tuple[MatrixDistribution, RunParams], str]:
 def _run_input(args: argparse.Namespace) -> tuple[MatrixDistribution, RunParams, RngPolicy, dict]:
     """The one input step of a run: the config, flags over its simulation block, streams, manifest."""
     (dist, params), digest = _read_config(args.config)
-    overrides = {
-        name: getattr(args, name)
-        for name in ("paths", "horizon", "eps", "seed", "p", "mc_samples")
-        if getattr(args, name, None) is not None
-    }
-    if getattr(args, "x0", None) is not None:
-        overrides["x0"] = _parse_x0(args.x0)
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunParams)
+                 if getattr(args, f.name, None) is not None}
+    if "x0" in overrides:
+        overrides["x0"] = _parse_x0(overrides["x0"])
     params = replace(params, **overrides)
     manifest = {"command": args.command, "parameters": asdict(params),
                 "config_digest": digest, "version": __version__}
@@ -138,11 +134,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_modes(args: argparse.Namespace) -> int:
     dist, params, policy, manifest = _run_input(args)
-    check_eigen_dimension(dist.n)  # the verdict's limit, checked before the simulation
     x0 = resolve_x0(params.x0, dist.n, policy)
-    records = run_paths(dist, x0, params.paths, params.horizon, policy)
-    report = summarize_modes(records, params.eps, params.p)
+    # as in analysis.cross_validate: the verdict refuses a dimension before any simulation
     verdict = random_verdict(dist)
+    report = estimate_modes(dist, x0, params.paths, params.horizon, params.eps, params.p, policy)
     verdict.discrepancy = discrepancy_note(verdict, report)
     doc = report.to_dict()
     doc["verdict"] = verdict.to_dict()

@@ -204,20 +204,25 @@ def _param(params: dict, key: str, kind: type, low, high=None, *, default=None, 
 @_register("pairwise_gossip")
 def _pairwise_gossip(params: dict):
     n = _param(params, "n", int, 2)
-    first, second = np.triu_indices(n, 1)
-    pairs = list(zip(first.tolist(), second.tolist()))  # scalar indexing is faster on a list
+    pair_count = n * (n - 1) // 2
+
+    @functools.cache  # built on the first draw: a dimension refusal allocates no pair table
+    def tables() -> tuple[np.ndarray, np.ndarray, list]:
+        first, second = np.triu_indices(n, 1)
+        return first, second, list(zip(first.tolist(), second.tolist()))  # a list indexes fastest
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        i, j = pairs[rng.integers(len(pairs))]
+        i, j = tables()[2][rng.integers(pair_count)]
         m = np.eye(n)
         m[i, i] = m[j, j] = 0.5
         m[i, j] = m[j, i] = 0.5
         return m
 
     def picks(rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.integers(len(pairs), size=count)
+        return rng.integers(pair_count, size=count)
 
     def from_picks(k: np.ndarray, out: np.ndarray) -> None:
+        first, second, _ = tables()
         i, j, item = first[k], second[k], np.arange(len(k))
         out[:] = np.eye(n)
         out[item, i, i] = out[item, j, j] = out[item, i, j] = out[item, j, i] = 0.5
@@ -226,7 +231,7 @@ def _pairwise_gossip(params: dict):
         # A = I - d d^T / 2 with d = e_i - e_j for one of the N pairs:
         # E[d d^T] = L / N with L = nI - J, and E[d d^T S d d^T] = R / N, where
         # R = diag(Q 1) - Q and Q holds d^T S d for every pair (i, j)
-        count, diagonal = len(pairs), np.arange(n)
+        diagonal = np.arange(n)
 
         def second(s: np.ndarray) -> np.ndarray:
             diag = np.diagonal(s, axis1=-2, axis2=-1)
@@ -234,9 +239,9 @@ def _pairwise_gossip(params: dict):
             q = diag[..., :, None] + diag[..., None, :] - s - s.swapaxes(-1, -2)
             r = -q
             r[..., diagonal, diagonal] += q.sum(axis=-1)
-            return s - ls_plus_sl / (2 * count) + r / (4 * count)
+            return s - ls_plus_sl / (2 * pair_count) + r / (4 * pair_count)
 
-        return Moments(np.eye(n) - (n * np.eye(n) - 1.0) / (2 * count), second, True)
+        return Moments(np.eye(n) - (n * np.eye(n) - 1.0) / (2 * pair_count), second, True)
 
     draw.picks, draw.from_picks, draw.moments = picks, from_picks, exact_moments
     return n, draw
@@ -671,30 +676,51 @@ class RngPolicy:
 
 # --- configuration ---------------------------------------------------------
 
-MAX_SEED = 2**64 - 1
-# Bounds of the mc_samples field, which is accepted and checked but has no
-# effect: every verdict uses closed-form moments.
-MIN_MC_SAMPLES = 1000
-MAX_MC_SAMPLES = 10**9
-
-
 def checked_seed(raw: Any) -> int:
     """A master seed: an integer in [0, 2^64 - 1], the documented 64-bit contract."""
     seed = checked_number(int, "seed", raw, 0)
-    if seed > MAX_SEED:
+    if seed >= 2**64:
         raise ConfigError(f"seed must be below 2^64, got {seed}")
     return seed
+
+
+def checked_x0(raw: Any) -> Union[str, list, tuple]:
+    """``raw`` unchanged if it is an initial state: "uniform01" or a list of finite reals."""
+    if isinstance(raw, str) and raw == "uniform01":
+        return raw
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"x0 must be 'uniform01' or an array of finite reals, got {raw!r}")
+    for i, entry in enumerate(raw):
+        if not math.isfinite(checked_number(float, f"x0[{i}]", entry)):
+            raise ConfigError(f"x0[{i}] must be finite, got {entry!r}")
+    return raw
+
+
+# The rule of each run parameter.  mc_samples is accepted and bounded but has
+# no effect: every verdict uses closed-form moments.
+_RUN_RULES: dict[str, Callable[[Any], Any]] = {
+    "paths": functools.partial(checked_number, int, "paths", low=1),
+    "horizon": functools.partial(checked_number, int, "horizon", low=1),
+    "eps": functools.partial(checked_number, float, "eps", low=0, strict=True),
+    "seed": checked_seed,
+    "x0": checked_x0,
+    "p": functools.partial(checked_number, float, "p", low=1),
+    "mc_samples": functools.partial(checked_number, int, "mc_samples", low=1000, high=10**9),
+}
+
+
+def checked_param(name: str, raw: Any) -> Any:
+    """``raw`` checked as run parameter ``name``: one rule for configs, flags and library calls."""
+    return _RUN_RULES[name](raw)
 
 
 @dataclass(frozen=True)
 class RunParams:
     """Simulation defaults, overridable by CLI flags.
 
-    Every number, ``x0`` entries included, passes :func:`checked_number`
-    on construction, so config values and flag overrides (applied with
-    ``dataclasses.replace``) pass the same checks.  The seed must fit 64
-    bits, and ``mc_samples`` lies in [MIN_MC_SAMPLES, MAX_MC_SAMPLES]
-    whatever the distribution, though nothing reads it.
+    Every field passes :func:`checked_param` on construction, so config
+    values and flag overrides (applied with ``dataclasses.replace``) pass
+    the same checks.
     """
 
     paths: int = 200
@@ -706,21 +732,8 @@ class RunParams:
     mc_samples: int = 10000
 
     def __post_init__(self) -> None:
-        rules = (("paths", int, 1), ("horizon", int, 1), ("mc_samples", int, MIN_MC_SAMPLES),
-                 ("eps", float, 0), ("p", float, 1))
-        for name, kind, low in rules:
-            value = checked_number(kind, name, getattr(self, name), low, strict=name == "eps")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "seed", checked_seed(self.seed))
-        if self.mc_samples > MAX_MC_SAMPLES:
-            raise ConfigError(
-                f"run too large for memory: mc_samples {self.mc_samples} exceeds {MAX_MC_SAMPLES}"
-            )
-        if isinstance(self.x0, (list, tuple)):
-            for i, value in enumerate(self.x0):
-                checked_number(float, f"x0[{i}]", value)
-        elif not isinstance(self.x0, str):
-            raise ConfigError(f"x0 must be 'uniform01' or an array of reals, got {self.x0!r}")
+        for f in fields(self):
+            object.__setattr__(self, f.name, checked_param(f.name, getattr(self, f.name)))
 
 
 def distribution_from_config(doc: dict) -> MatrixDistribution:
@@ -789,22 +802,17 @@ def load_config(source: Union[str, os.PathLike, dict]) -> tuple[MatrixDistributi
     sim = doc.get("simulation", {})
     if not isinstance(sim, dict):
         raise ConfigError("'simulation' must be an object")
-    known = {f.name for f in fields(RunParams)}
     for key in sim:
-        if key not in known:
+        if key not in _RUN_RULES:
             raise ConfigError(f"unknown simulation field {key!r}")
     return dist, RunParams(**sim)
 
 
-def resolve_x0(x0: Union[str, Sequence[float], np.ndarray], n: int, policy: RngPolicy) -> np.ndarray:
-    """Turn the config/CLI initial-state spec into a concrete vector."""
-    if isinstance(x0, str):
-        if x0 != "uniform01":
-            raise ConfigError(f"x0 must be 'uniform01' or an array of {n} reals, got {x0!r}")
+def resolve_x0(x0: Union[str, Sequence[float]], n: int, policy: RngPolicy) -> np.ndarray:
+    """Turn an initial-state spec that passes :func:`checked_x0` into a concrete vector."""
+    if checked_x0(x0) == "uniform01":
         return policy.x0_stream().random(n)
     arr = np.array(x0, dtype=float)
     if arr.shape != (n,):
         raise ConfigError(f"x0 must have length {n}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError("x0 has non-finite entries")
     return arr

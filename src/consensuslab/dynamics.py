@@ -20,6 +20,7 @@ from .core import (
     MatrixDistribution,
     RngPolicy,
     block_slices,
+    checked_param,
     draw_block,
     pick_atoms,
     validate_block,
@@ -114,9 +115,7 @@ def simulate_paths(
 
 def _new_series(paths: int, horizon: int) -> np.ndarray:
     """The (3, paths, horizon + 1) diagnostic series: diameter and both disagreement norms."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return np.empty((3, paths, horizon + 1))
+    return np.empty((3, paths, checked_param("horizon", horizon) + 1))
 
 
 def _simulate(
@@ -259,8 +258,7 @@ def run_paths(
     Stream k depends only on (master_seed, k), so the results are fixed by
     the seed.
     """
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
+    paths = checked_param("paths", paths)
     # allocated first: a run too large for memory fails here, not after
     # deriving one stream per path
     series = _new_series(paths, horizon)
@@ -272,10 +270,7 @@ def summarize_modes(
     records: Sequence[TrajectoryRecord], eps: float, p: float
 ) -> ModeReport:
     """Aggregate per-path diagnostics into the three mode classifications."""
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    eps, p = checked_param("eps", eps), checked_param("p", p)
     diam = np.stack([r.diameter for r in records])
     horizon = diam.shape[1] - 1
     prob_curve = (diam > eps).mean(axis=0)

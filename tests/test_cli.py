@@ -1,10 +1,12 @@
 import hashlib
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from consensuslab import cli
+from consensuslab import __version__, cli
 from consensuslab.cli import main
 from consensuslab.selfcheck import PROPERTIES, run_selfcheck
 
@@ -32,6 +34,15 @@ MIXTURE_CONFIG = {
 }
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_loads(text):
+    """Parse a CLI output document; a NaN or Infinity in it fails the test."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 @pytest.fixture
 def gossip_config(tmp_path):
     path = tmp_path / "gossip.json"
@@ -56,14 +67,14 @@ def mixture_config(tmp_path):
 class TestVerdictCommand:
     def test_gossip_consensus(self, gossip_config, capsys):
         assert main(["verdict", "--config", gossip_config, "--mc-samples", "3000"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = _strict_loads(capsys.readouterr().out)
         assert doc["decision"] == "consensus"
         assert abs(doc["lambda2_modulus"] - 0.5) < 0.1
         assert doc["positive_diagonal_support"] is True
 
     def test_identity_marginal(self, identity_config, capsys):
         assert main(["verdict", "--config", identity_config]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = _strict_loads(capsys.readouterr().out)
         assert doc["decision"] == "marginal"
         assert doc["lambda2_modulus"] == pytest.approx(1.0)
 
@@ -80,7 +91,7 @@ class TestVerdictCommand:
         assert main(["verdict", "--config", gossip_config, "--out", str(out),
                      "--mc-samples", "1500"]) == 0
         assert (out / "verdict.json").exists()
-        manifest = json.loads((out / "verdict_manifest.json").read_text())
+        manifest = _strict_loads((out / "verdict_manifest.json").read_text())
         assert manifest["command"] == "verdict"
         assert manifest["parameters"]["seed"] == 7
         assert len(manifest["config_digest"]) == 64
@@ -93,7 +104,7 @@ def test_result_and_manifest_file_formats(gossip_config, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert (out / "verdict.json").read_text(encoding="utf-8") == printed
     text = (out / "verdict_manifest.json").read_text(encoding="utf-8")
-    manifest = json.loads(text)
+    manifest = _strict_loads(text)
     assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     assert sorted(manifest) == ["command", "config_digest", "parameters", "version"]
     with open(gossip_config, "rb") as fh:
@@ -106,7 +117,7 @@ class TestDeterministicCommand:
 
     def test_identity(self, identity_config, capsys):
         assert main(["deterministic", "--config", identity_config]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = _strict_loads(capsys.readouterr().out)
         assert doc["decision"] == "marginal"
 
 
@@ -137,7 +148,7 @@ class TestSimulateCommand:
         out = tmp_path / "j"
         assert main(["simulate", "--config", gossip_config, "--format", "json",
                      "--out", str(out)]) == 0
-        payload = json.loads((out / "paths.json").read_text())
+        payload = _strict_loads((out / "paths.json").read_text())
         assert len(payload) == 10
 
     def test_unwritable_out_exit_4(self, gossip_config, tmp_path, capsys):
@@ -240,6 +251,11 @@ def _lifted_gossip(alpha):
         pytest.param("modes", {"n": 300, "distribution": {
             "type": "generator", "name": "lazy_permutation", "params": {"n": 300}}},
             "dimension 300 exceeds supported maximum 256", id="modes_n_300"),
+        # refused before the 4498500 gossip pairs are tabled
+        *(pytest.param(command, {"n": 3000, "distribution": {
+            "type": "generator", "name": "pairwise_gossip", "params": {"n": 3000}}},
+            "dimension 3000 exceeds supported maximum 256", id=f"{command}_gossip_n_3000")
+          for command in ("verdict", "modes")),
         pytest.param("modes", dict(MIXTURE_CONFIG, distribution={"type": "finite", "atoms": [
             dict(atom, prob=float("nan")) if k == 0 else atom
             for k, atom in enumerate(MIXTURE_CONFIG["distribution"]["atoms"])]}),
@@ -321,8 +337,6 @@ def _dirichlet3(alpha):
         # sizes no machine can allocate: numpy refuses them before touching memory
         pytest.param(GOSSIP_CONFIG, ["simulate", "--horizon", str(10**15)],
                      "run too large for memory", id="huge_horizon"),
-        pytest.param(GOSSIP_CONFIG, ["verdict", "--mc-samples", str(10**16)],
-                     "run too large for memory", id="huge_mc_samples"),
         # the diagnostic series is allocated before one stream per path is derived
         pytest.param(GOSSIP_CONFIG, ["simulate", "--paths", str(10**12)],
                      "run too large for memory", id="huge_paths_simulate"),
@@ -330,11 +344,25 @@ def _dirichlet3(alpha):
                      "run too large for memory", id="huge_paths_modes"),
         # bounded before any draw, whatever the distribution kind
         pytest.param(IDENTITY_CONFIG, ["verdict", "--mc-samples", "-5"],
-                     "mc_samples must be >= 1000, got -5", id="dirac_negative_mc_samples"),
+                     "mc_samples must be in [1000, 1000000000], got -5",
+                     id="dirac_negative_mc_samples"),
         pytest.param(MIXTURE_CONFIG, ["modes", "--mc-samples", "999"],
-                     "mc_samples must be >= 1000, got 999", id="finite_mc_samples_999"),
+                     "mc_samples must be in [1000, 1000000000], got 999", id="finite_mc_samples_999"),
         pytest.param(dict(GOSSIP_CONFIG, simulation={"mc_samples": 10**9 + 1}), ["verdict"],
-                     "run too large for memory: mc_samples 1000000001", id="mc_samples_above_1e9"),
+                     "mc_samples must be in [1000, 1000000000], got 1000000001",
+                     id="mc_samples_above_1e9"),
+        pytest.param(GOSSIP_CONFIG, ["verdict", "--mc-samples", str(10**16)],
+                     "mc_samples must be in [1000, 1000000000], got 10000000000000000",
+                     id="huge_mc_samples"),
+        # one x0 rule for every command, whether or not the command reads x0
+        *(pytest.param(dict(IDENTITY_CONFIG, simulation={"x0": x0}), [command], named,
+                       id=f"{command}_x0_{label}")
+          for command in ("verdict", "deterministic", "simulate", "modes")
+          for x0, named, label in (
+              ("gaussian", "x0 must be 'uniform01' or an array of finite reals, got 'gaussian'",
+               "gaussian"),
+              ([float("nan"), 0], "x0[0] must be finite, got nan", "nan"),
+              ([1e999, 0], "x0[0] must be finite, got inf", "inf"))),
         pytest.param(_dirac("abc"), ["simulate"], "matrix must be a square array of numbers",
                      id="simulate_dirac_matrix_string"),
         pytest.param(_one_atom({"a": 1}), ["simulate"],
@@ -364,6 +392,7 @@ def test_bad_input_exits_2_with_one_line(doc, argv, named, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: ") and named in err
+    assert not list((tmp_path / "o").glob("*manifest.json"))
 
 
 def test_eigen_failure_exits_3_with_a_short_line(tmp_path, monkeypatch, capsys):
@@ -424,7 +453,7 @@ class TestModesCommand:
     def test_gossip_all_converged(self, gossip_config, capsys):
         assert main(["modes", "--config", gossip_config, "--paths", "100",
                      "--horizon", "300", "--mc-samples", "1500"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = _strict_loads(capsys.readouterr().out)
         assert doc["as_converged"] and doc["prob_converged"] and doc["lp_converged"]
         assert doc["agreement"] is True
         assert doc["verdict"]["discrepancy"] is None
@@ -432,13 +461,13 @@ class TestModesCommand:
     def test_identity_none_converged(self, identity_config, capsys):
         assert main(["modes", "--config", identity_config, "--paths", "50",
                      "--horizon", "20", "--x0", "1,0"]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = _strict_loads(capsys.readouterr().out)
         assert not (doc["as_converged"] or doc["prob_converged"] or doc["lp_converged"])
         assert doc["agreement"] is True
 
     def test_mixture_discrepancy_reported(self, mixture_config, capsys):
         assert main(["modes", "--config", mixture_config]) == 0
-        doc = json.loads(capsys.readouterr().out)
+        doc = _strict_loads(capsys.readouterr().out)
         assert doc["agreement"] is True
         assert not doc["as_converged"]
         assert doc["verdict"]["decision"] == "consensus"
@@ -450,7 +479,7 @@ class TestLiftCommand:
         out = tmp_path / "lifted.json"
         assert main(["lift", "--config-a", identity_config, "--config-b", identity_config,
                      "--alpha", "0.5", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = _strict_loads(out.read_text())
         assert doc["n"] == 4
         assert doc["distribution"]["type"] == "dirac"
         # the lifted config is itself consumable
@@ -464,7 +493,7 @@ class TestLiftCommand:
         out = tmp_path / "lifted.json"
         assert main(["lift", "--config-a", mixture_config, "--config-b", mixture_config,
                      "--alpha", "0.4", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = _strict_loads(out.read_text())
         assert len(doc["distribution"]["atoms"]) == 4
 
 
@@ -535,7 +564,7 @@ class TestSelfcheckRunner:
 @pytest.mark.parametrize("command", ["verdict", "modes"])
 def test_builtin_generator_verdict_is_exact(command, gossip_config, capsys):
     assert main([command, "--config", gossip_config]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = _strict_loads(capsys.readouterr().out)
     verdict = doc if command == "verdict" else doc["verdict"]
     assert verdict["uncertainty_halfwidth"] == 0.0
     assert verdict["lambda2_modulus"] == pytest.approx(0.5, abs=1e-12)
@@ -568,7 +597,13 @@ def test_lazy_permutation_second_moment_flags_the_lambda2_rule(tmp_path, capsys)
     cfg.write_text(json.dumps({"n": 4, "distribution": {
         "type": "generator", "name": "lazy_permutation", "params": {"n": 4, "hold_prob": 0.3}}}))
     assert main(["verdict", "--config", str(cfg)]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = _strict_loads(capsys.readouterr().out)
     assert doc["decision"] == "consensus" and doc["positive_diagonal_support"] is False
     assert doc["second_moment"]["rho"] == pytest.approx(1.0, abs=1e-12)
     assert doc["second_moment"]["decision"] == "marginal"
+
+
+def test_package_version_matches_pyproject():
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.M).group(1)
+    assert declared == __version__

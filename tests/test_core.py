@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -400,3 +401,15 @@ def test_gossip_picks_match_one_draw_at_a_time(n):
     assert np.array_equal(out, expected)
     assert picks_rng.bit_generator.state == loop_rng.bit_generator.state
     assert picks_rng.integers(7, size=3).tolist() == loop_rng.integers(7, size=3).tolist()
+
+
+def test_gossip_pair_tables_wait_for_the_first_draw():
+    # n(n-1)/2 = 4498500 pairs: a dimension refusal must not build their tables
+    tracemalloc.start()
+    try:
+        dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3000})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert dist._draw.picks(np.random.default_rng(0), 4).max() < 3000 * 2999 // 2

@@ -1,6 +1,7 @@
 import csv
 import io
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -526,9 +527,30 @@ class TestEmission:
             "path", "diameter", "disagreement_inf", "disagreement_l2", "final_state",
         }
 
-    def test_summarize_rejects_bad_params(self):
-        records = self._records()
-        with pytest.raises(ValueError):
-            summarize_modes(records, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            summarize_modes(records, 1e-3, 0.5)
+    @pytest.mark.parametrize("entry, bad, named", [
+        pytest.param(entry, {name: value}, named, id=f"{entry}-{name}_{value}")
+        for entries, name, values, named in (
+            (("summarize_modes", "estimate_modes"), "eps", (-1.0, np.nan, np.inf),
+             "eps must be finite and > 0"),
+            (("summarize_modes", "estimate_modes"), "p", (0.5, np.nan, np.inf),
+             "p must be finite and >= 1"),
+            (("run_paths", "estimate_modes"), "paths", (2.5,), "paths must be an integer, got 2.5"),
+            (("run_paths", "estimate_modes", "simulate_paths"), "horizon", (0,),
+             "horizon must be >= 1, got 0"),
+        )
+        for entry in entries for value in values
+    ])
+    def test_summarize_rejects_bad_params(self, entry, bad, named):
+        # the library entry points apply the rules a config or a flag passes
+        dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
+        x0, policy = np.array([1.0, 0.0, 0.0]), RngPolicy(0)
+        args = dict(dict(paths=4, horizon=6, eps=1e-3, p=1.0), **bad)
+        calls = {
+            "summarize_modes": lambda: summarize_modes(self._records(), args["eps"], args["p"]),
+            "estimate_modes": lambda: estimate_modes(dist, x0, policy=policy, **args),
+            "run_paths": lambda: run_paths(dist, x0, args["paths"], args["horizon"], policy),
+            "simulate_paths": lambda: simulate_paths(
+                dist, x0, args["horizon"], policy.path_streams(4), range(4)),
+        }
+        with pytest.raises(ValueError, match=re.escape(named)):
+            calls[entry]()
