@@ -8,6 +8,7 @@ from .core import (
     Moments,
     RngPolicy,
     StochasticMatrix,
+    lift_second_order,
     load_config,
     moments,
     sample,
@@ -35,7 +36,6 @@ from .analysis import (
     ConsensusVerdict,
     SecondMoment,
     cross_validate,
-    lift_second_order,
     random_verdict,
 )
 

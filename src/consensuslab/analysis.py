@@ -1,4 +1,4 @@
-"""The random-network verdict from closed-form moments, and the second-order lifting.
+"""The random-network verdict from closed-form moments.
 
 The verdict for a random network rests on the expected update matrix: the
 network reaches consensus (in all three modes at once) exactly when the
@@ -26,16 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    MatrixDistribution,
-    Moments,
-    RngPolicy,
-    companion_block,
-    lift_weights,
-    moments,
-    validate_matrix,
-)
+from .core import MatrixDistribution, Moments, RngPolicy, moments, validate_matrix
 from .dynamics import ModeReport, estimate_modes
 from .spectral import (
     MAX_EIGEN_DIM,
@@ -190,42 +181,3 @@ def cross_validate(
     verdict.discrepancy = discrepancy_note(verdict, modes)
     return verdict
 
-
-def lift_second_order(
-    alpha: float,
-    beta: float,
-    dist_a: MatrixDistribution,
-    dist_b: MatrixDistribution,
-) -> MatrixDistribution:
-    """Distribution of the block companion matrix [[alpha*A, beta*B], [I, 0]].
-
-    Embeds the two-term recursion x(t) = alpha*A(t)x(t-1) + beta*B(t)x(t-2)
-    into a first-order system on twice the dimension.  Finite or point-mass
-    inputs are lifted by enumerating the independent product support;
-    generator inputs fall back to joint sampling.
-    """
-    alpha, beta = lift_weights(alpha, beta)
-    if dist_a.n != dist_b.n:
-        raise ConfigError(f"dimension mismatch: {dist_a.n} vs {dist_b.n}")
-
-    if dist_a.kind == "generator" or dist_b.kind == "generator":
-        return MatrixDistribution.generator(
-            "lifted_pair",
-            {
-                "alpha": alpha,
-                "beta": beta,
-                "dist_a": {"n": dist_a.n, "distribution": dist_a.to_config()},
-                "dist_b": {"n": dist_b.n, "distribution": dist_b.to_config()},
-            },
-        )
-
-    atoms_a = dist_a.atoms if dist_a.kind == "finite" else ((1.0, dist_a.matrix),)
-    atoms_b = dist_b.atoms if dist_b.kind == "finite" else ((1.0, dist_b.matrix),)
-    lifted = []
-    for pa, ma in atoms_a:
-        for pb, mb in atoms_b:
-            block = validate_matrix(companion_block(alpha, ma.entries, beta, mb.entries))
-            lifted.append((pa * pb, block))
-    if len(lifted) == 1:
-        return MatrixDistribution.dirac(lifted[0][1])
-    return MatrixDistribution.finite(lifted)

@@ -17,12 +17,13 @@ from dataclasses import asdict, fields, replace
 from typing import Optional
 
 from . import __version__
-from .analysis import discrepancy_note, lift_second_order, random_verdict
+from .analysis import discrepancy_note, random_verdict
 from .core import (
     ConfigError,
     MatrixDistribution,
     RngPolicy,
     RunParams,
+    lift_second_order,
     load_config,
     resolve_x0,
 )
@@ -116,15 +117,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     dist, params, policy, manifest = _run_input(args)
     x0 = resolve_x0(params.x0, dist.n, policy)
     records = run_paths(dist, x0, params.paths, params.horizon, policy)
+    report = summarize_modes(records, params.eps, params.p)  # before any file is written
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     if args.format == "csv":
         with open(os.path.join(out, "paths.csv"), "w", encoding="utf-8", newline="") as fh:
             write_path_csv(records, fh)
         with open(os.path.join(out, "aggregate.csv"), "w", encoding="utf-8", newline="") as fh:
-            write_aggregate_csv(records, params.eps, params.p, fh)
+            write_aggregate_csv(report, fh)
     else:
-        report = summarize_modes(records, params.eps, params.p)
         _write_json(os.path.join(out, "paths.json"), paths_as_json(records))
         _write_json(os.path.join(out, "aggregate.json"), report.to_dict())
     _write_json(os.path.join(out, "simulate_manifest.json"), manifest, sort_keys=True)

@@ -151,9 +151,9 @@ def checked_number(
 # :func:`moments`.  A sampler whose draw is one integer choice may also carry
 # `picks(rng, count)`, the choices of count consecutive sampler(rng) calls
 # (same bits, same rng state after), and `from_picks(k, out)`, which writes
-# the matrices of choices k into a (len(k), n, n) block; the engine draws a
-# path's whole horizon of picks up front, as it does a finite distribution's
-# atom picks.
+# the matrices of choices k into a (len(k), n, n) block; :func:`path_draws`
+# draws a path's whole horizon of picks up front, as it does a finite
+# distribution's atom picks.
 Sampler = Callable[[np.random.Generator], np.ndarray]
 GeneratorFactory = Callable[[dict], tuple[int, Sampler]]
 
@@ -207,25 +207,22 @@ def _pairwise_gossip(params: dict):
     pair_count = n * (n - 1) // 2
 
     @functools.cache  # built on the first draw: a dimension refusal allocates no pair table
-    def tables() -> tuple[np.ndarray, np.ndarray, list]:
-        first, second = np.triu_indices(n, 1)
-        return first, second, list(zip(first.tolist(), second.tolist()))  # a list indexes fastest
-
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        i, j = tables()[2][rng.integers(pair_count)]
-        m = np.eye(n)
-        m[i, i] = m[j, j] = 0.5
-        m[i, j] = m[j, i] = 0.5
-        return m
+    def pairs() -> tuple[np.ndarray, np.ndarray]:
+        return np.triu_indices(n, 1)
 
     def picks(rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.integers(pair_count, size=count)
 
     def from_picks(k: np.ndarray, out: np.ndarray) -> None:
-        first, second, _ = tables()
+        first, second = pairs()
         i, j, item = first[k], second[k], np.arange(len(k))
         out[:] = np.eye(n)
         out[item, i, i] = out[item, j, j] = out[item, i, j] = out[item, j, i] = 0.5
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        out = np.empty((1, n, n))
+        from_picks(picks(rng, 1), out)
+        return out[0]
 
     def exact_moments() -> Moments:
         # A = I - d d^T / 2 with d = e_i - e_j for one of the N pairs:
@@ -364,6 +361,37 @@ def companion_block(alpha: float, a: np.ndarray, b_weight: float, b: np.ndarray)
     return out
 
 
+def lift_second_order(
+    alpha: float,
+    beta: float,
+    dist_a: MatrixDistribution,
+    dist_b: MatrixDistribution,
+) -> MatrixDistribution:
+    """Distribution of the block companion matrix [[alpha*A, beta*B], [I, 0]].
+
+    Embeds the two-term recursion x(t) = alpha*A(t)x(t-1) + beta*B(t)x(t-2)
+    into a first-order system on twice the dimension.  Finite or point-mass
+    inputs are lifted by enumerating the independent product support;
+    generator inputs fall back to joint sampling (``lifted_pair``).
+    """
+    alpha, beta = lift_weights(alpha, beta)
+    if dist_a.n != dist_b.n:
+        raise ConfigError(f"dimension mismatch: {dist_a.n} vs {dist_b.n}")
+
+    if "generator" in (dist_a.kind, dist_b.kind):
+        parts = {key: {"n": d.n, "distribution": d.to_config()}
+                 for key, d in (("dist_a", dist_a), ("dist_b", dist_b))}
+        return MatrixDistribution.generator("lifted_pair", {"alpha": alpha, "beta": beta, **parts})
+
+    atoms_a = dist_a.atoms if dist_a.kind == "finite" else ((1.0, dist_a.matrix),)
+    atoms_b = dist_b.atoms if dist_b.kind == "finite" else ((1.0, dist_b.matrix),)
+    lifted = [(pa * pb, validate_matrix(companion_block(alpha, ma.entries, beta, mb.entries)))
+              for pa, ma in atoms_a for pb, mb in atoms_b]
+    if len(lifted) == 1:
+        return MatrixDistribution.dirac(lifted[0][1])
+    return MatrixDistribution.finite(lifted)
+
+
 # --- distributions ---------------------------------------------------------
 
 
@@ -492,21 +520,48 @@ def block_slices(count: int, n: int) -> list[slice]:
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
-def draw_block(
-    dist: MatrixDistribution, rngs: Sequence[np.random.Generator], out: np.ndarray
-) -> None:
-    """Fill ``out[j]`` with one draw of generator ``dist`` from ``rngs[j]``; validate the block.
+def path_draws(
+    dist: MatrixDistribution, rngs: Sequence[np.random.Generator], horizon: int
+) -> Callable[[slice, int], np.ndarray]:
+    """The engine's draw policy: ``draws(sl, t)``, the (len(sl), n, n) block of step t's draws.
 
-    The draws are made in order and checked by :func:`validate_block`, so
-    the error raised is the one one-by-one :func:`sample` calls would give.
+    Path k draws only from ``rngs[k]``: the bits, errors and final stream
+    state of one-at-a-time :func:`sample` calls.  A dirac is broadcast; a
+    finite distribution's atom picks, and a sampler's ``picks``, are drawn
+    for the whole horizon up front; any other generator draws at each call,
+    so call for t = 1..horizon in order, each slice once.  A generator's
+    block is validated, and the next call overwrites it.
     """
-    for j, rng in enumerate(rngs):
-        try:
-            out[j] = _generator_draw(dist, rng)
-        except ConfigError:
-            validate_block(out[:j])  # an earlier bad draw is reported first
-            raise
-    validate_block(out)
+    n = dist.n
+    if dist.kind == "dirac":
+        return lambda sl, t: np.broadcast_to(dist.matrix.entries, (sl.stop - sl.start, n, n))
+    if dist.kind == "finite":
+        atoms = np.stack([m.entries for _, m in dist.atoms])
+        u = np.stack([rng.random(horizon) for rng in rngs])
+        atom_picks = pick_atoms([p for p, _ in dist.atoms], u)
+        return lambda sl, t: atoms[atom_picks[sl, t - 1]]
+    buffer = np.empty((block_slices(len(rngs), n)[0].stop, n, n))
+    from_picks = getattr(dist._draw, "from_picks", None)
+    if from_picks is not None:
+        picks = np.empty((len(rngs), horizon), dtype=np.intp)
+        for k, rng in enumerate(rngs):  # filled in place: no second (paths, horizon) copy
+            picks[k] = dist._draw.picks(rng, horizon)
+
+    def draws(sl: slice, t: int) -> np.ndarray:
+        block = buffer[: sl.stop - sl.start]
+        if from_picks is not None:
+            from_picks(picks[sl, t - 1], block)
+        else:
+            for j, rng in enumerate(rngs[sl]):
+                try:
+                    block[j] = _generator_draw(dist, rng)
+                except ConfigError:
+                    validate_block(block[:j])  # an earlier bad draw is reported first
+                    raise
+        validate_block(block)
+        return block
+
+    return draws
 
 
 # --- seeded stream derivation ----------------------------------------------
@@ -684,15 +739,24 @@ def checked_seed(raw: Any) -> int:
     return seed
 
 
+def checked_state(x0: Any, n: int) -> np.ndarray:
+    """The x0 rule for a concrete initial state: n finite reals, as a new float vector."""
+    arr = np.array(x0, dtype=float)
+    if arr.shape != (n,):
+        raise ConfigError(f"x0 must have length {n}, got shape {arr.shape}")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ConfigError(f"x0[{bad[0]}] must be finite, got {float(arr[bad[0]])!r}")
+    return arr
+
+
 def checked_x0(raw: Any) -> Union[str, list, tuple]:
     """``raw`` unchanged if it is an initial state: "uniform01" or a list of finite reals."""
     if isinstance(raw, str) and raw == "uniform01":
         return raw
     if not isinstance(raw, (list, tuple)):
         raise ConfigError(f"x0 must be 'uniform01' or an array of finite reals, got {raw!r}")
-    for i, entry in enumerate(raw):
-        if not math.isfinite(checked_number(float, f"x0[{i}]", entry)):
-            raise ConfigError(f"x0[{i}] must be finite, got {entry!r}")
+    checked_state([checked_number(float, f"x0[{i}]", e) for i, e in enumerate(raw)], len(raw))
     return raw
 
 
@@ -812,7 +876,4 @@ def resolve_x0(x0: Union[str, Sequence[float]], n: int, policy: RngPolicy) -> np
     """Turn an initial-state spec that passes :func:`checked_x0` into a concrete vector."""
     if checked_x0(x0) == "uniform01":
         return policy.x0_stream().random(n)
-    arr = np.array(x0, dtype=float)
-    if arr.shape != (n,):
-        raise ConfigError(f"x0 must have length {n}, got shape {arr.shape}")
-    return arr
+    return checked_state(x0, n)

@@ -21,9 +21,8 @@ from .core import (
     RngPolicy,
     block_slices,
     checked_param,
-    draw_block,
-    pick_atoms,
-    validate_block,
+    checked_state,
+    path_draws,
 )
 from .spectral import NumericalError
 
@@ -50,7 +49,7 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True, eq=False)
 class ModeReport:
-    """Empirical classification of the three convergence modes."""
+    """Empirical classification of the three convergence modes, and every aggregate curve."""
 
     eps: float
     p: float
@@ -58,6 +57,8 @@ class ModeReport:
     as_fraction: float
     prob_curve: np.ndarray  # fraction of paths with diameter(t) > eps
     lp_curve: np.ndarray  # sample mean of diameter(t)**p
+    mean_curve: np.ndarray  # sample mean of diameter(t)
+    max_curve: np.ndarray  # largest diameter(t)
     as_converged: bool
     prob_converged: bool
     lp_converged: bool
@@ -91,14 +92,11 @@ def simulate_paths(
     """Iterate the network on every path at once, one i.i.d. draw per path and step.
 
     Path k draws only from ``rngs[k]``, in the order one-path-at-a-time
-    sampling would.  A finite distribution's whole horizon of uniforms, and
-    a generator's whole horizon of picks when its sampler has the
-    ``picks``/``from_picks`` hooks (``pairwise_gossip``), are drawn in one
-    call per path; any other generator draws once per step.  So a record
-    does not depend on which other paths run alongside it.  Each step
-    applies the drawn matrices as stacked matrix-vector products, over path
-    slices whose matrix block fits ``core.BLOCK_BYTES``; every generator
-    draw is validated.
+    sampling would, as :func:`core.path_draws` sets out; so a record does
+    not depend on which other paths run alongside it.  Each step applies
+    the drawn matrices as stacked matrix-vector products, over path slices
+    whose matrix block fits ``core.BLOCK_BYTES``.  ``x0`` passes
+    :func:`core.checked_state` first.
 
     The diameter is checked for monotone decrease at every step (1e-12
     slack for floating-point reassociation); a violation means a broken
@@ -110,6 +108,7 @@ def simulate_paths(
     which is checked here instead.  A diagnostic that overflows to a
     non-finite value raises too.
     """
+    x0 = checked_state(x0, dist.n)
     return _simulate(dist, x0, _new_series(len(rngs), horizon), rngs, path_ids)
 
 
@@ -125,10 +124,7 @@ def _simulate(
     rngs: Sequence[np.random.Generator],
     path_ids: Sequence[int],
 ) -> list[TrajectoryRecord]:
-    """:func:`simulate_paths`, filling ``series``."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (dist.n,):
-        raise ValueError(f"x0 must have length {dist.n}, got shape {x0.shape}")
+    """:func:`simulate_paths` from a checked ``x0``, filling ``series``."""
     x = np.tile(x0, (series.shape[1], 1))
     _iterate(dist, x, rngs, series)
     _check_series(series, path_ids)
@@ -155,23 +151,13 @@ def _iterate(
 ) -> None:
     """Step the (paths, n) states ``x`` in place, ``series`` taking their diagnostics.
 
-    The picks and the chunk buffers live only here, so they are freed
+    The draws and the chunk buffers live only here, so they are freed
     before the series is checked.
     """
     paths, horizon = series.shape[1], series.shape[2] - 1
     n = dist.n
     slices = block_slices(paths, n)
-    from_picks = getattr(dist._draw, "from_picks", None)
-    if dist.kind == "finite":
-        atoms = np.stack([m.entries for _, m in dist.atoms])
-        probs = [p for p, _ in dist.atoms]
-        picks = pick_atoms(probs, np.stack([rng.random(horizon) for rng in rngs]))
-    elif from_picks is not None:
-        picks = np.empty((paths, horizon), dtype=np.intp)
-        for k, rng in enumerate(rngs):  # filled in place: no second (paths, horizon) copy
-            picks[k] = dist._draw.picks(rng, horizon)
-    if dist.kind == "generator":
-        drawn = np.empty((slices[0].stop, n, n))
+    draws = path_draws(dist, rngs, horizon)
     # each step's states, path-major and time-innermost, in chunks of span
     # steps whose buffers take 1/32 of BLOCK_BYTES each
     span = min(horizon + 1, max(1, core.BLOCK_BYTES // (32 * 8 * paths * n)))
@@ -182,19 +168,8 @@ def _iterate(
         for t in range(horizon + 1):
             if t > 0:
                 for sl in slices:
-                    if dist.kind == "dirac":
-                        block = dist.matrix.entries
-                    elif dist.kind == "finite":
-                        block = atoms[picks[sl, t - 1]]
-                    else:
-                        block = drawn[: sl.stop - sl.start]
-                        if from_picks is None:
-                            draw_block(dist, rngs[sl], block)
-                        else:
-                            from_picks(picks[sl, t - 1], block)
-                            validate_block(block)
                     # one gemv per stacked item: the bits of a @ x[k]
-                    x[sl] = np.matmul(block, x[sl, :, None])[:, :, 0]
+                    x[sl] = np.matmul(draws(sl, t), x[sl, :, None])[:, :, 0]
             j = t % span
             states[:, j] = x
             states_t[:, :, j] = x
@@ -259,6 +234,7 @@ def run_paths(
     the seed.
     """
     paths = checked_param("paths", paths)
+    x0 = checked_state(x0, dist.n)
     # allocated first: a run too large for memory fails here, not after
     # deriving one stream per path
     series = _new_series(paths, horizon)
@@ -269,27 +245,32 @@ def run_paths(
 def summarize_modes(
     records: Sequence[TrajectoryRecord], eps: float, p: float
 ) -> ModeReport:
-    """Aggregate per-path diagnostics into the three mode classifications."""
+    """Aggregate per-path diagnostics into every aggregate curve and the three mode classifications.
+
+    A curve that is not finite (diameter**p overflowing, say) is a NumericalError.
+    """
     eps, p = checked_param("eps", eps), checked_param("p", p)
     diam = np.stack([r.diameter for r in records])
-    horizon = diam.shape[1] - 1
-    prob_curve = (diam > eps).mean(axis=0)
-    lp_curve = (diam ** p).mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        curves = dict(prob_curve=(diam > eps).mean(axis=0), lp_curve=(diam ** p).mean(axis=0),
+                      mean_curve=diam.mean(axis=0), max_curve=diam.max(axis=0))
+        lp_bound = float(np.float64(eps) ** p)  # inf if it overflows: it bounds every finite mean
+    for name, curve in curves.items():
+        if not np.isfinite(curve).all():
+            t = int(np.argmin(np.isfinite(curve)))
+            raise NumericalError(f"{name} is not finite at t={t} (p={p!r})")
+        curve.setflags(write=False)
     as_fraction = float((diam[:, -1] <= eps).mean())
-    report = ModeReport(
+    return ModeReport(
         eps=eps,
         p=p,
-        horizon=horizon,
+        horizon=diam.shape[1] - 1,
         as_fraction=as_fraction,
-        prob_curve=prob_curve,
-        lp_curve=lp_curve,
         as_converged=as_fraction >= AS_CONVERGED_FRACTION,
-        prob_converged=float(prob_curve[-1]) <= PROB_CONVERGED_LEVEL,
-        lp_converged=float(lp_curve[-1]) <= eps ** p,
+        prob_converged=float(curves["prob_curve"][-1]) <= PROB_CONVERGED_LEVEL,
+        lp_converged=float(curves["lp_curve"][-1]) <= lp_bound,
+        **curves,
     )
-    prob_curve.setflags(write=False)
-    lp_curve.setflags(write=False)
-    return report
 
 
 def estimate_modes(
@@ -301,8 +282,9 @@ def estimate_modes(
     p: float,
     policy: RngPolicy,
 ) -> ModeReport:
-    records = run_paths(dist, x0, paths, horizon, policy)
-    return summarize_modes(records, eps, p)
+    """:func:`summarize_modes` of :func:`run_paths`; eps and p are checked before simulating."""
+    eps, p = checked_param("eps", eps), checked_param("p", p)
+    return summarize_modes(run_paths(dist, x0, paths, horizon, policy), eps, p)
 
 
 def zero_one_probe(
@@ -350,12 +332,9 @@ def write_path_csv(records: Sequence[TrajectoryRecord], fh: IO[str]) -> None:
         fh.write(("%d,%d,%.17g,%.17g,%.17g\n" * steps) % tuple(rows.ravel().tolist()))
 
 
-def write_aggregate_csv(
-    records: Sequence[TrajectoryRecord], eps: float, p: float, fh: IO[str]
-) -> None:
-    report = summarize_modes(records, eps, p)
-    diam = np.stack([r.diameter for r in records])
-    curves = zip(diam.mean(axis=0), report.prob_curve, diam.max(axis=0), report.lp_curve)
+def write_aggregate_csv(report: ModeReport, fh: IO[str]) -> None:
+    """One row per t of the curves of :func:`summarize_modes`."""
+    curves = zip(report.mean_curve, report.prob_curve, report.max_curve, report.lp_curve)
     fh.write(",".join(AGGREGATE_CSV_COLUMNS) + "\n")
     fh.writelines(
         f"{t},{a:.17g},{b:.17g},{c:.17g},{d:.17g}\n" for t, (a, b, c, d) in enumerate(curves)

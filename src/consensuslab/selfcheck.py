@@ -11,12 +11,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analysis import lift_second_order
 from .core import (
     MatrixDistribution,
     RngPolicy,
     checked_number,
     checked_seed,
+    lift_second_order,
     sample,
     spawn_streams,
     validate_matrix,

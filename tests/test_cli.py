@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -423,6 +424,34 @@ def test_second_moment_overflow_exits_3_with_one_line(command, tmp_path, capsys)
     assert main([command, "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err == "numerical failure: second-moment form of dimension 3 has non-finite entries\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes"], ["simulate", "--format", "json"], ["simulate", "--format", "csv"],
+], ids=["modes", "simulate_json", "simulate_csv"])
+def test_overflowing_lp_curve_exits_3_and_writes_nothing(argv, tmp_path, capsys):
+    # diameter 2, and 2**2000 overflows: the L^p curve would be written as Infinity or inf
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(IDENTITY_CONFIG, simulation={"x0": [0, 2], "paths": 3,
+                                                                "horizon": 4})))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--config", str(cfg), "--p", "2000", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: lp_curve is not finite at t=0 (p=2000.0)\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_overflowing_lp_bound_converges(tmp_path, capsys):
+    # eps**p overflows to inf, which bounds every finite L^p mean
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(IDENTITY_CONFIG, simulation={"x0": [0, 2], "paths": 3,
+                                                                "horizon": 4})))
+    assert main(["modes", "--config", str(cfg), "--eps", "1e200", "--p", "2"]) == 0
+    doc = _strict_loads(capsys.readouterr().out)
+    assert doc["lp_curve"] == [4.0] * 5 and doc["lp_converged"] is True
 
 
 # every flag a command accepted before without reading it

@@ -13,10 +13,13 @@ from consensuslab import (
     sample,
     validate_matrix,
 )
+from consensuslab import core
 from consensuslab.core import (
     MatrixValidationError,
+    block_slices,
     checked_number,
     distribution_from_config,
+    path_draws,
     pick_atoms,
     registered_generators,
     resolve_x0,
@@ -413,3 +416,58 @@ def test_gossip_pair_tables_wait_for_the_first_draw():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert dist._draw.picks(np.random.default_rng(0), 4).max() < 3000 * 2999 // 2
+
+
+def _path_draws_cases():
+    rng = np.random.default_rng(12)
+
+    def stoch(n):
+        return validate_matrix(random_stochastic(rng, n))
+
+    finite3 = MatrixDistribution.finite([(0.3, stoch(3)), (0.7, stoch(3))])
+    params = {
+        "pairwise_gossip": {"n": 6},
+        "dirichlet_rows": {"n": 4, "alpha": 0.7},
+        "lazy_permutation": {"n": 5, "hold_prob": 0.3},
+        "lifted_pair": {
+            "alpha": 0.4, "beta": 0.6,
+            "dist_a": {"n": 3, "distribution": {
+                "type": "generator", "name": "pairwise_gossip", "params": {"n": 3}}},
+            "dist_b": {"n": 3, "distribution": finite3.to_config()},
+        },
+    }
+    cases = {
+        "dirac": MatrixDistribution.dirac(stoch(4)),
+        "finite_zero_prob": MatrixDistribution.finite(
+            [(p, stoch(5)) for p in (0.0, 0.4, 0.0, 0.6, 0.0)]),
+    }
+    for name in registered_generators():
+        cases[name] = MatrixDistribution.generator(name, params[name])
+    return cases
+
+
+@pytest.mark.parametrize("name, per_slice", [
+    *((name, None) for name in sorted(_path_draws_cases())),
+    ("finite_zero_prob", 3), ("pairwise_gossip", 3), ("dirichlet_rows", 3),
+])
+def test_path_draws_match_one_draw_at_a_time(name, per_slice, monkeypatch):
+    # every block row is the draw one-at-a-time sample() calls on the path's
+    # own stream give, and every stream ends where those calls leave it
+    dist = _path_draws_cases()[name]
+    n, paths, horizon = dist.n, 7, 5
+    if per_slice is not None:
+        monkeypatch.setattr(core, "BLOCK_BYTES", per_slice * 8 * n * n)
+    slices = block_slices(paths, n)
+    assert (len(slices) > 1) == (per_slice is not None)
+    streams, loop_streams = RngPolicy(9).path_streams(paths), RngPolicy(9).path_streams(paths)
+    draws = path_draws(dist, streams, horizon)
+    got = np.full((paths, horizon, n, n), np.nan)
+    for t in range(1, horizon + 1):
+        for sl in slices:
+            block = draws(sl, t)
+            assert block.shape == (sl.stop - sl.start, n, n)
+            got[sl, t - 1] = block
+    expected = [[sample(dist, rng).entries for _ in range(horizon)] for rng in loop_streams]
+    assert np.array_equal(got, np.array(expected))
+    for rng, loop_rng in zip(streams, loop_streams):
+        assert rng.bit_generator.state == loop_rng.bit_generator.state

@@ -3,6 +3,7 @@ import io
 import itertools
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from consensuslab import (
     ConfigError,
     MatrixDistribution,
+    NumericalError,
     lift_second_order,
     RngPolicy,
     estimate_modes,
@@ -313,6 +315,40 @@ def test_run_too_large_refused_before_any_stream_is_derived(monkeypatch):
         run_paths(dist, np.array([1.0, 0.0, 0.0]), 10**12, 50, RngPolicy(0))
 
 
+@pytest.mark.parametrize("entry", ["run_paths", "simulate_paths", "simulate_path"])
+@pytest.mark.parametrize("x0, named", [
+    ([np.nan, 0.0, 0.0], "x0[0] must be finite, got nan"),
+    ([0.0, 0.0, -np.inf], "x0[2] must be finite, got -inf"),
+    ([1.0, 0.0], "x0 must have length 3, got shape (2,)"),
+], ids=["nan", "inf", "short"])
+def test_engine_applies_the_x0_rule_first(entry, x0, named, monkeypatch):
+    def never(*args):
+        raise AssertionError("the engine ran")
+
+    rngs = [np.random.default_rng(k) for k in range(2)]
+    monkeypatch.setattr(core, "spawn_streams", never)
+    monkeypatch.setattr(dynamics, "_iterate", never)
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
+    calls = {
+        "run_paths": lambda: run_paths(dist, np.array(x0), 2, 5, RngPolicy(0)),
+        "simulate_paths": lambda: simulate_paths(dist, np.array(x0), 5, rngs, range(2)),
+        "simulate_path": lambda: simulate_path(dist, np.array(x0), 5, rngs[0]),
+    }
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        calls[entry]()
+
+
+def test_overflowing_curve_is_a_numerical_error_without_a_warning():
+    dist = MatrixDistribution.dirac(validate_matrix(np.eye(2)))
+    records = run_paths(dist, np.array([0.0, 2.0]), 3, 4, RngPolicy(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=re.escape("lp_curve is not finite at t=0")):
+            summarize_modes(records, 1e-3, 2000.0)
+        report = summarize_modes(records, 1e200, 2.0)  # eps**p overflows to inf
+    assert report.lp_converged and np.array_equal(report.lp_curve, [4.0] * 5)
+
+
 class _Uniforms:
     """A scripted stream serving fixed uniforms one at a time or in blocks, as a Generator does."""
 
@@ -489,7 +525,7 @@ class TestEmission:
 
     def test_aggregate_csv_layout(self):
         buf = io.StringIO()
-        write_aggregate_csv(self._records(), 1e-3, 1.0, buf)
+        write_aggregate_csv(summarize_modes(self._records(), 1e-3, 1.0), buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,mean_diameter,p_exceed_eps,max_diameter,lp_mean"
         assert len(lines) == 1 + 7
@@ -509,8 +545,8 @@ class TestEmission:
         assert {"-0", "4.9406564584124654e-324", "inf", "-inf", "nan"} <= fields
         records = self._records()
         buf = io.StringIO()
-        write_aggregate_csv(records, 1e-3, 1.0, buf)
         report = summarize_modes(records, 1e-3, 1.0)
+        write_aggregate_csv(report, buf)
         diam = np.stack([r.diameter for r in records])
         ref = io.StringIO()
         writer = csv.writer(ref, lineterminator="\n")
@@ -540,13 +576,18 @@ class TestEmission:
         )
         for entry in entries for value in values
     ])
-    def test_summarize_rejects_bad_params(self, entry, bad, named):
+    def test_summarize_rejects_bad_params(self, entry, bad, named, monkeypatch):
         # the library entry points apply the rules a config or a flag passes
         dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
         x0, policy = np.array([1.0, 0.0, 0.0]), RngPolicy(0)
         args = dict(dict(paths=4, horizon=6, eps=1e-3, p=1.0), **bad)
+        records = self._records()
+        simulated = []
+        real_run_paths = dynamics.run_paths
+        monkeypatch.setattr(dynamics, "run_paths",
+                            lambda *a: simulated.append(a) or real_run_paths(*a))
         calls = {
-            "summarize_modes": lambda: summarize_modes(self._records(), args["eps"], args["p"]),
+            "summarize_modes": lambda: summarize_modes(records, args["eps"], args["p"]),
             "estimate_modes": lambda: estimate_modes(dist, x0, policy=policy, **args),
             "run_paths": lambda: run_paths(dist, x0, args["paths"], args["horizon"], policy),
             "simulate_paths": lambda: simulate_paths(
@@ -554,3 +595,5 @@ class TestEmission:
         }
         with pytest.raises(ValueError, match=re.escape(named)):
             calls[entry]()
+        if entry == "estimate_modes" and {"eps", "p"} & set(bad):
+            assert simulated == []  # refused before any simulation
