@@ -8,14 +8,15 @@ The parent is `--base`, extracted with `git archive` into a temporary
 directory; the change is this checkout's working tree.  The script writes a
 fixed set of seeded configs (a dirac, a finite mixture, the identity/swap
 mixture, `pairwise_gossip` at n=3 and n=10, `dirichlet_rows`,
-`lazy_permutation`, and a gossip+Dirichlet `lifted_pair`), then runs the
-same CLI calls in both trees, each in a fresh interpreter and an empty
-working directory: `verdict`, `deterministic`, `simulate --format csv|json`,
-`modes`, `lift`, `selfcheck`, a `--threads 3` run, flag overrides,
-`simulate` and `modes` at seeds 0 and 2^64-1 (a one-word and a two-word
-seed), and error paths whose output is part of the contract (atom
-probabilities that do not sum to 1, a blocked `--out`, which `verdict` meets
-after printing its result, a flag the command does not read).
+`lazy_permutation`, and three `lifted_pair`s of gossip at n=3 with the
+Dirichlet, the finite mixture and the dirac), then runs the same CLI calls
+in both trees, each in a fresh interpreter and an empty working directory:
+`verdict`, `deterministic`, `simulate --format csv|json`, `modes`, `lift`,
+`selfcheck`, a `--threads 3` run, flag overrides, `simulate` and `modes` at
+seeds 0 and 2^64-1 (a one-word and a two-word seed), and error paths whose
+output is part of the contract (atom probabilities that do not sum to 1, a
+blocked `--out`, which `verdict` meets after printing its result, a flag the
+command does not read).
 
 For every call it compares the exit code, stdout and stderr (with the call's
 working directory replaced by `<out>`) and every file the call wrote.  It
@@ -70,6 +71,10 @@ def configs(seed: int = 2024) -> dict[str, dict]:
         "bad_probs": (3, {"type": "finite", "atoms": [
             {"prob": 0.6, "matrix": _stochastic(rng, 3)} for _ in range(3)]}),
     }
+    for part in ("finite", "dirac"):  # atom parts drawn inside a lift
+        dists[f"lifted_pair_{part}"] = (6, _generator("lifted_pair", {
+            "alpha": 0.3, "beta": 0.7, "dist_a": gossip3,
+            "dist_b": {"n": 3, "distribution": dists[part][1]}}))
     return {
         name: {"n": n, "distribution": dist,
                "simulation": dict(SIMULATION, seed=int(rng.integers(2**63)))}

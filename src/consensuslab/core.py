@@ -145,19 +145,6 @@ def checked_number(
 
 # --- parametric generators -------------------------------------------------
 
-# name -> factory(params) returning (n, sampler); sampler(rng) yields one raw
-# matrix which is then re-validated on every draw.  Every sampler carries
-# `moments()`, which returns its draw's closed-form `Moments`; see
-# :func:`moments`.  A sampler whose draw is one integer choice may also carry
-# `picks(rng, count)`, the choices of count consecutive sampler(rng) calls
-# (same bits, same rng state after), and `from_picks(k, out)`, which writes
-# the matrices of choices k into a (len(k), n, n) block; :func:`path_draws`
-# draws a path's whole horizon of picks up front, as it does a finite
-# distribution's atom picks.
-Sampler = Callable[[np.random.Generator], np.ndarray]
-GeneratorFactory = Callable[[dict], tuple[int, Sampler]]
-
-
 @dataclass(frozen=True, eq=False)
 class Moments:
     """The first two moments of a random update matrix A, in closed form.
@@ -171,6 +158,33 @@ class Moments:
     mean: np.ndarray
     second: Callable[[np.ndarray], np.ndarray]
     positive_diagonal: bool
+
+
+@dataclass(frozen=True, eq=False)
+class Sampler:
+    """All the program knows of a distribution, whatever its kind; built once per distribution.
+
+    ``moments()`` gives its closed-form :class:`Moments` and ``draw(rng)``
+    one raw n x n matrix.  A distribution whose draw is one integer choice
+    may also carry ``picks(rngs, count)``, the (len(rngs), count) choices
+    of count consecutive draws on each stream (same bits, same end state),
+    and ``from_picks(k, out)``, the (len(k), n, n) block of the matrices of
+    choices k, which may be the scratch block ``out`` it is given.
+    ``atoms`` holds the (prob, matrix) pairs of a dirac or finite
+    distribution; such a record has picks, and its matrices, validated
+    already, are never validated again.
+    """
+
+    moments: Callable[[], Moments]
+    draw: Callable[[np.random.Generator], np.ndarray]
+    picks: Optional[Callable[[Sequence[np.random.Generator], int], np.ndarray]] = None
+    from_picks: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    atoms: Optional[tuple[tuple[float, StochasticMatrix], ...]] = None
+
+
+# name -> factory(params) returning (n, Sampler); every draw of a generator
+# is validated.
+GeneratorFactory = Callable[[dict], tuple[int, Sampler]]
 
 
 def _stack_sums(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,19 +224,25 @@ def _pairwise_gossip(params: dict):
     def pairs() -> tuple[np.ndarray, np.ndarray]:
         return np.triu_indices(n, 1)
 
-    def picks(rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.integers(pair_count, size=count)
+    def picks(rngs: Sequence[np.random.Generator], count: int) -> np.ndarray:
+        out = np.empty((len(rngs), count), dtype=np.intp)
+        for k, rng in enumerate(rngs):  # filled in place: no second (paths, count) copy
+            out[k] = rng.integers(pair_count, size=count)
+        return out
 
-    def from_picks(k: np.ndarray, out: np.ndarray) -> None:
+    def from_picks(k: np.ndarray, out: np.ndarray) -> np.ndarray:
         first, second = pairs()
         i, j, item = first[k], second[k], np.arange(len(k))
         out[:] = np.eye(n)
         out[item, i, i] = out[item, j, j] = out[item, i, j] = out[item, j, i] = 0.5
+        return out
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        out = np.empty((1, n, n))
-        from_picks(picks(rng, 1), out)
-        return out[0]
+        k = rng.integers(pair_count)  # the bits of one of picks' draws
+        i, j = pairs()[0][k], pairs()[1][k]
+        out = np.eye(n)
+        out[i, i] = out[j, j] = out[i, j] = out[j, i] = 0.5
+        return out
 
     def exact_moments() -> Moments:
         # A = I - d d^T / 2 with d = e_i - e_j for one of the N pairs:
@@ -240,8 +260,7 @@ def _pairwise_gossip(params: dict):
 
         return Moments(np.eye(n) - (n * np.eye(n) - 1.0) / (2 * pair_count), second, True)
 
-    draw.picks, draw.from_picks, draw.moments = picks, from_picks, exact_moments
-    return n, draw
+    return n, Sampler(exact_moments, draw, picks, from_picks)
 
 
 @_register("dirichlet_rows")
@@ -263,8 +282,7 @@ def _dirichlet_rows(params: dict):
 
         return Moments(np.full((n, n), 1.0 / n), second, True)
 
-    draw.moments = exact_moments
-    return n, draw
+    return n, Sampler(exact_moments, draw)
 
 
 @_register("lazy_permutation")
@@ -292,14 +310,13 @@ def _lazy_permutation(params: dict):
         mean = hold_prob * np.eye(n) + (1.0 - hold_prob) / n
         return Moments(mean, second, hold_prob == 1.0 or n == 1)
 
-    draw.moments = exact_moments
-    return n, draw
+    return n, Sampler(exact_moments, draw)
 
 
 @_register("lifted_pair")
 def _lifted_pair(params: dict):
     # Joint sampling for the second-order block companion form
-    # [[alpha*A, beta*B], [I, 0]] when either factor is a generator kind.
+    # [[alpha*A, beta*B], [I, 0]] when either factor carries no atoms.
     for key in ("alpha", "beta", "dist_a", "dist_b"):
         if key not in params:
             raise ConfigError(f"generator params missing {key!r}")
@@ -336,8 +353,7 @@ def _lifted_pair(params: dict):
         # the identity block's rows have a zero diagonal
         return Moments(companion_block(alpha, mean_a, beta, mean_b), second, False)
 
-    draw.moments = exact_moments
-    return 2 * n, draw
+    return 2 * n, Sampler(exact_moments, draw)
 
 
 def lift_weights(alpha: Any, beta: Any) -> tuple[float, float]:
@@ -370,21 +386,20 @@ def lift_second_order(
     """Distribution of the block companion matrix [[alpha*A, beta*B], [I, 0]].
 
     Embeds the two-term recursion x(t) = alpha*A(t)x(t-1) + beta*B(t)x(t-2)
-    into a first-order system on twice the dimension.  Finite or point-mass
-    inputs are lifted by enumerating the independent product support;
-    generator inputs fall back to joint sampling (``lifted_pair``).
+    into a first-order system on twice the dimension.  Inputs that both
+    carry atoms are lifted by enumerating the independent product support;
+    any other pair falls back to joint sampling (``lifted_pair``).
     """
     alpha, beta = lift_weights(alpha, beta)
     if dist_a.n != dist_b.n:
         raise ConfigError(f"dimension mismatch: {dist_a.n} vs {dist_b.n}")
 
-    if "generator" in (dist_a.kind, dist_b.kind):
+    atoms_a, atoms_b = dist_a.sampler.atoms, dist_b.sampler.atoms
+    if atoms_a is None or atoms_b is None:
         parts = {key: {"n": d.n, "distribution": d.to_config()}
                  for key, d in (("dist_a", dist_a), ("dist_b", dist_b))}
         return MatrixDistribution.generator("lifted_pair", {"alpha": alpha, "beta": beta, **parts})
 
-    atoms_a = dist_a.atoms if dist_a.kind == "finite" else ((1.0, dist_a.matrix),)
-    atoms_b = dist_b.atoms if dist_b.kind == "finite" else ((1.0, dist_b.matrix),)
     lifted = [(pa * pb, validate_matrix(companion_block(alpha, ma.entries, beta, mb.entries)))
               for pa, ma in atoms_a for pb, mb in atoms_b]
     if len(lifted) == 1:
@@ -401,15 +416,23 @@ class MatrixDistribution:
 
     n: int
     kind: str  # "dirac" | "finite" | "generator"
+    sampler: Sampler = field(repr=False, compare=False)
     matrix: Optional[StochasticMatrix] = None
     atoms: Optional[tuple[tuple[float, StochasticMatrix], ...]] = None
     name: Optional[str] = None
     params: Optional[dict] = None
-    _draw: Optional[Sampler] = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def dirac(matrix: StochasticMatrix) -> "MatrixDistribution":
-        return MatrixDistribution(n=matrix.n, kind="dirac", matrix=matrix)
+        a, n = matrix.entries, matrix.n
+        sampler = Sampler(
+            moments=lambda: Moments(a, lambda s: a @ s @ a.T, matrix.has_positive_diagonal()),
+            draw=lambda rng: a,
+            picks=lambda rngs, count: np.broadcast_to(np.intp(0), (len(rngs), count)),  # no draw
+            from_picks=lambda k, out: np.broadcast_to(a, (len(k), n, n)),
+            atoms=((1.0, matrix),),
+        )
+        return MatrixDistribution(n=n, kind="dirac", matrix=matrix, sampler=sampler)
 
     @staticmethod
     def finite(atoms: Sequence[tuple[float, StochasticMatrix]]) -> "MatrixDistribution":
@@ -426,11 +449,20 @@ class MatrixDistribution:
         dims = {m.n for _, m in atoms}
         if len(dims) != 1:
             raise ConfigError(f"atoms have mixed dimensions {sorted(dims)}")
-        return MatrixDistribution(
-            n=atoms[0][1].n,
-            kind="finite",
-            atoms=tuple((float(p), m) for p, m in atoms),
+        atoms = tuple((float(p), m) for p, m in atoms)
+        stack = np.stack([m.entries for _, m in atoms])
+        sampler = Sampler(
+            moments=lambda: Moments(
+                sum(p * m.entries for p, m in atoms),
+                lambda s: sum(p * (m.entries @ s @ m.entries.T) for p, m in atoms),
+                all(m.has_positive_diagonal() for p, m in atoms if p > 0),
+            ),
+            draw=lambda rng: stack[pick_atoms(probs, rng.random())],
+            picks=lambda rngs, count: pick_atoms(probs, np.stack([r.random(count) for r in rngs])),
+            from_picks=lambda k, out: stack[k],
+            atoms=atoms,
         )
+        return MatrixDistribution(n=stack.shape[1], kind="finite", atoms=atoms, sampler=sampler)
 
     @staticmethod
     def generator(name: str, params: dict) -> "MatrixDistribution":
@@ -438,8 +470,8 @@ class MatrixDistribution:
             raise ConfigError(
                 f"unknown generator {name!r}; registered: {', '.join(registered_generators())}"
             )
-        n, draw = _GENERATORS[name](dict(params))
-        return MatrixDistribution(n=n, kind="generator", name=name, params=dict(params), _draw=draw)
+        n, sampler = _GENERATORS[name](dict(params))
+        return MatrixDistribution(n, "generator", name=name, params=dict(params), sampler=sampler)
 
     def to_config(self) -> dict:
         """Serialize as the `distribution` object of the JSON config schema."""
@@ -456,21 +488,9 @@ class MatrixDistribution:
 def moments(dist: MatrixDistribution) -> Moments:
     """E[A], the map S -> E[A S A^T] and the positive-diagonal fact, in closed form.
 
-    Exact for every distribution: dirac, finite, and every generator, through
-    its sampler's ``moments`` hook.
+    Exact for every distribution, through its sampler's ``moments``.
     """
-    if dist.kind == "dirac":
-        a = dist.matrix.entries
-        return Moments(a, lambda s: a @ s @ a.T, dist.matrix.has_positive_diagonal())
-    if dist.kind == "finite":
-        atoms = dist.atoms
-
-        def second(s: np.ndarray) -> np.ndarray:
-            return sum(p * (m.entries @ s @ m.entries.T) for p, m in atoms)
-
-        mean = sum(p * m.entries for p, m in atoms)
-        return Moments(mean, second, all(m.has_positive_diagonal() for p, m in atoms if p > 0))
-    return dist._draw.moments()
+    return dist.sampler.moments()
 
 
 def pick_atoms(probs: Sequence[float], u: Union[float, np.ndarray]) -> Union[int, np.ndarray]:
@@ -487,7 +507,7 @@ def pick_atoms(probs: Sequence[float], u: Union[float, np.ndarray]) -> Union[int
 def _generator_draw(dist: MatrixDistribution, rng: np.random.Generator) -> np.ndarray:
     """One raw, unvalidated draw of a generator, as an n x n float array."""
     try:
-        raw = np.asarray(dist._draw(rng), dtype=float)
+        raw = np.asarray(dist.sampler.draw(rng), dtype=float)
     except ConfigError:
         raise
     except Exception as exc:
@@ -500,12 +520,10 @@ def _generator_draw(dist: MatrixDistribution, rng: np.random.Generator) -> np.nd
 
 
 def sample(dist: MatrixDistribution, rng: np.random.Generator) -> StochasticMatrix:
-    """Draw one matrix; every draw is re-validated."""
-    if dist.kind == "dirac":
-        return dist.matrix
-    if dist.kind == "finite":
-        k = pick_atoms([p for p, _ in dist.atoms], rng.random())
-        return dist.atoms[int(k)][1]
+    """Draw one matrix: an atom as it is, any other draw validated."""
+    sampler = dist.sampler
+    if sampler.atoms is not None:
+        return sampler.atoms[int(sampler.picks([rng], 1)[0, 0])][1]
     return validate_matrix(_generator_draw(dist, rng))
 
 
@@ -526,31 +544,21 @@ def path_draws(
     """The engine's draw policy: ``draws(sl, t)``, the (len(sl), n, n) block of step t's draws.
 
     Path k draws only from ``rngs[k]``: the bits, errors and final stream
-    state of one-at-a-time :func:`sample` calls.  A dirac is broadcast; a
-    finite distribution's atom picks, and a sampler's ``picks``, are drawn
-    for the whole horizon up front; any other generator draws at each call,
-    so call for t = 1..horizon in order, each slice once.  A generator's
-    block is validated, and the next call overwrites it.
+    state of one-at-a-time :func:`sample` calls.  A sampler's ``picks`` are
+    drawn for the whole horizon up front; any other sampler draws at each
+    call, so call for t = 1..horizon in order, each slice once.  A block
+    not made of atoms is validated, and the next call may overwrite it.
     """
-    n = dist.n
-    if dist.kind == "dirac":
-        return lambda sl, t: np.broadcast_to(dist.matrix.entries, (sl.stop - sl.start, n, n))
-    if dist.kind == "finite":
-        atoms = np.stack([m.entries for _, m in dist.atoms])
-        u = np.stack([rng.random(horizon) for rng in rngs])
-        atom_picks = pick_atoms([p for p, _ in dist.atoms], u)
-        return lambda sl, t: atoms[atom_picks[sl, t - 1]]
-    buffer = np.empty((block_slices(len(rngs), n)[0].stop, n, n))
-    from_picks = getattr(dist._draw, "from_picks", None)
-    if from_picks is not None:
-        picks = np.empty((len(rngs), horizon), dtype=np.intp)
-        for k, rng in enumerate(rngs):  # filled in place: no second (paths, horizon) copy
-            picks[k] = dist._draw.picks(rng, horizon)
+    sampler, n = dist.sampler, dist.n
+    picks = None if sampler.picks is None else sampler.picks(rngs, horizon)
+    buffer = np.empty((block_slices(len(rngs), n)[0].stop, n, n))  # untouched by atoms
 
     def draws(sl: slice, t: int) -> np.ndarray:
         block = buffer[: sl.stop - sl.start]
-        if from_picks is not None:
-            from_picks(picks[sl, t - 1], block)
+        if picks is not None:
+            block = sampler.from_picks(picks[sl, t - 1], block)
+            if sampler.atoms is not None:
+                return block  # validated already
         else:
             for j, rng in enumerate(rngs[sl]):
                 try:

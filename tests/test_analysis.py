@@ -15,9 +15,9 @@ from consensuslab import (
     sample,
     validate_matrix,
 )
-from consensuslab import analysis
+from consensuslab import analysis, core
 from consensuslab.analysis import second_moment_rate
-from consensuslab.core import companion_block, registered_generators
+from consensuslab.core import Sampler, companion_block, registered_generators
 from consensuslab.spectral import NumericalError, second_eigenvalue_modulus
 
 from conftest import random_stochastic
@@ -351,13 +351,16 @@ class TestClosedFormMoments:
         se = samples.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(samples.mean(axis=0) - exact.second(s)) <= 4.5 * se + 1e-12)
 
-    def test_every_registered_generator_has_the_hook(self):
+    def test_every_registered_generator_returns_a_sampler(self):
         cases = _generator_cases()
         assert set(cases) == set(registered_generators())
         for name, params in cases.items():
+            n, sampler = core._GENERATORS[name](dict(params))
+            assert isinstance(sampler, Sampler)
+            assert callable(sampler.moments) and callable(sampler.draw)
+            assert (sampler.picks is None) == (sampler.from_picks is None), name
             dist = MatrixDistribution.generator(name, params)
-            assert callable(dist._draw.moments)
-            assert moments(dist).mean.shape == (dist.n, dist.n)
+            assert moments(dist).mean.shape == (dist.n, dist.n) == (n, n)
 
 
 class TestSecondMomentRate:

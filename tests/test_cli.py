@@ -540,22 +540,24 @@ class TestSelfcheckCommand:
         from consensuslab import core
 
         broken = dict(core._GENERATORS)
+        gossip = core._GENERATORS["pairwise_gossip"]  # not the patched one, which would recurse
 
         def bad_gossip(params):
-            n, draw = core._GENERATORS["pairwise_gossip"](params)
+            n, sampler = gossip(params)
 
             def bad_draw(rng):
-                m = draw(rng).copy()
+                m = sampler.draw(rng).copy()
                 m[0, 0] += 0.5  # row sum bug
                 return m
 
-            return n, bad_draw
+            return n, core.Sampler(sampler.moments, bad_draw)
 
         broken["pairwise_gossip"] = bad_gossip
         monkeypatch.setattr(core, "_GENERATORS", broken)
         assert main(["selfcheck", "--trials", "5", "--n-max", "4"]) == 5
         out = capsys.readouterr().out
         assert "matrix_validation: FAIL" in out
+        assert "row 0 sums to 1.5" in out
         assert "seed 0" in out
 
 

@@ -397,9 +397,8 @@ def test_gossip_picks_match_one_draw_at_a_time(n):
     # integers() buffers included)
     dist = MatrixDistribution.generator("pairwise_gossip", {"n": n})
     picks_rng, loop_rng = np.random.default_rng(41), np.random.default_rng(41)
-    k = dist._draw.picks(picks_rng, 257)
-    out = np.full((257, n, n), np.nan)
-    dist._draw.from_picks(k, out)
+    k = dist.sampler.picks([picks_rng], 257)[0]
+    out = dist.sampler.from_picks(k, np.full((257, n, n), np.nan))
     expected = np.stack([sample(dist, loop_rng).entries for _ in range(257)])
     assert np.array_equal(out, expected)
     assert picks_rng.bit_generator.state == loop_rng.bit_generator.state
@@ -415,7 +414,25 @@ def test_gossip_pair_tables_wait_for_the_first_draw():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert dist._draw.picks(np.random.default_rng(0), 4).max() < 3000 * 2999 // 2
+    assert dist.sampler.picks([np.random.default_rng(0)], 4).max() < 3000 * 2999 // 2
+
+
+def test_dirac_path_draws_allocate_no_picks_array():
+    # a (2000, 2000) array of picks would take 32 MB; a dirac's picks draw nothing
+    dist = MatrixDistribution.dirac(validate_matrix(np.full((3, 3), 1 / 3)))
+    streams = RngPolicy(4).path_streams(2000)
+    states = [rng.bit_generator.state for rng in streams[:3]]
+    tracemalloc.start()
+    try:
+        draws = path_draws(dist, streams, 2000)
+        for t in range(1, 2001):
+            block = draws(slice(0, 2000), t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert block.shape == (2000, 3, 3) and np.array_equal(block[-1], dist.matrix.entries)
+    assert [rng.bit_generator.state for rng in streams[:3]] == states
 
 
 def _path_draws_cases():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import re
@@ -22,7 +23,7 @@ from consensuslab import (
     zero_one_probe,
 )
 from consensuslab import core, dynamics
-from consensuslab.core import MatrixValidationError, registered_generators
+from consensuslab.core import MatrixValidationError, Sampler, registered_generators
 from consensuslab.dynamics import (
     TrajectoryRecord,
     simulate_paths,
@@ -178,7 +179,7 @@ def _reference_paths(dist, x0, horizon, rngs):
                             break
                     a = dist.atoms[k][1].entries
                 else:
-                    a = validate_matrix(dist._draw(rng)).entries
+                    a = validate_matrix(dist.sampler.draw(rng)).entries
                 x = a @ x
             d = x - x.mean()
             rows.append((x.max() - x.min(), np.abs(d).max(), np.linalg.norm(d)))
@@ -253,10 +254,11 @@ def test_run_paths_matches_scalar_reference(name, monkeypatch):
 @pytest.mark.parametrize("name", ["dirac", "finite_zero_prob_and_gap", "pairwise_gossip",
                                   "dirichlet_rows"])
 def test_diagnostics_in_chunks_match_scalar_reference(name, monkeypatch):
-    # 13 steps reduced in chunks of 5, 5 and 3; pairwise_gossip draws its
-    # picks up front, dirichlet_rows (no picks hooks) one draw per step
+    # 13 steps reduced in chunks of 5, 5 and 3; dirac, finite and
+    # pairwise_gossip draw their picks up front, dirichlet_rows (no picks)
+    # one draw per step
     dist, paths, _ = _engine_cases()[name]
-    assert hasattr(dist._draw, "picks") == (name == "pairwise_gossip")
+    assert (dist.sampler.picks is None) == (name == "dirichlet_rows")
     monkeypatch.setattr(core, "BLOCK_BYTES", 5 * 32 * 8 * paths * dist.n)
     widths = []
     diagnose = dynamics._diagnose
@@ -382,18 +384,18 @@ def _patch_gossip(monkeypatch, faults):
     made = []
 
     def factory(params):
-        n, draw = original(params)
+        n, sampler = original(params)
         count = itertools.count()
 
         def faulty(rng):
-            m = draw(rng)
+            m = sampler.draw(rng)
             fault = faults.get(next(count))
             if fault is not None:
                 fault(m)
                 made.append(m.copy())
             return m
 
-        return n, faulty
+        return n, Sampler(sampler.moments, faulty)  # no picks: one draw per path and step
 
     monkeypatch.setitem(core._GENERATORS, "pairwise_gossip", factory)
     return made
@@ -448,21 +450,23 @@ def test_bad_draw_reported_before_a_later_generator_failure(monkeypatch):
 
 def test_wrong_shape_draw_rejected_not_broadcast(monkeypatch):
     # a row-vector draw would otherwise broadcast into the (n, n) block slot
-    monkeypatch.setitem(core._GENERATORS, "row_draw", lambda params: (3, lambda rng: np.ones(3) / 3))
+    row_draw = Sampler(moments=lambda: None, draw=lambda rng: np.ones(3) / 3)
+    monkeypatch.setitem(core._GENERATORS, "row_draw", lambda params: (3, row_draw))
     dist = MatrixDistribution.generator("row_draw", {})
     with pytest.raises(MatrixValidationError, match=r"drew shape \(3,\), expected \(3, 3\)"):
         run_paths(dist, np.linspace(0.0, 1.0, 3), 2, 2, RngPolicy(0))
 
 
-def test_blocks_built_from_picks_are_validated(monkeypatch):
+def test_blocks_built_from_picks_are_validated():
     dist = MatrixDistribution.generator("pairwise_gossip", {"n": 4})
-    from_picks = dist._draw.from_picks
+    from_picks = dist.sampler.from_picks
 
     def faulty(k, out):
-        from_picks(k, out)
+        out = from_picks(k, out)
         out[-1, 2, 2] += 0.25
+        return out
 
-    monkeypatch.setattr(dist._draw, "from_picks", faulty)
+    dist = dataclasses.replace(dist, sampler=dataclasses.replace(dist.sampler, from_picks=faulty))
     with pytest.raises(MatrixValidationError, match="row 2 sums to 1.25"):
         run_paths(dist, np.linspace(0.0, 1.0, 4), 5, 3, RngPolicy(3))
 
