@@ -95,7 +95,7 @@ def calls(cfg: dict[str, str]) -> list[list[str]]:
     return argv + [
         ["deterministic", "--config", cfg["dirac"], "--out", "{out}"],
         ["deterministic", "--config", cfg["finite"]],
-        ["verdict", "--config", cfg["gossip10"], "--seed", "5", "--mc-samples", "1500"],
+        ["verdict", "--config", cfg["gossip10"]],
         ["simulate", "--config", cfg["gossip3"], "--threads", "3", "--out", "{out}"],
         ["simulate", "--config", cfg["gossip3"]],
         ["simulate", "--config", cfg["gossip3"], "--seed", "11", "--paths", "5", "--horizon",

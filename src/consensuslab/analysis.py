@@ -46,28 +46,22 @@ class SecondMoment:
     """The mean-square rate rho of the disagreement, its banded decision and how it was found.
 
     ``method`` is SYMMETRIC_FORM, or SKIPPED (``rho`` and ``decision`` None)
-    when the form's dimension exceeds ``MAX_EIGEN_DIM``.  ``exact`` is always
-    true: every distribution has closed-form moments.
+    when the form's dimension exceeds ``MAX_EIGEN_DIM``.  ``rho`` comes from
+    closed-form moments, which every distribution has.
     """
 
     rho: Optional[float]
     decision: Optional[str]
     method: str
-    exact: bool
 
 
 @dataclass(eq=False)
 class ConsensusVerdict:
-    """Spectral consensus decision for a random network.
-
-    ``uncertainty_halfwidth`` is always 0.0: the expectation is exact.  It
-    stays, as ``SecondMoment.exact`` does, so the JSON keeps its keys.
-    """
+    """Spectral consensus decision for a random network, from its exact expectation."""
 
     lambda2_modulus: float
     decision: str
     positive_diagonal_support: bool
-    uncertainty_halfwidth: float
     second_moment: SecondMoment
     discrepancy: Optional[str] = None
 
@@ -76,7 +70,6 @@ class ConsensusVerdict:
             "lambda2_modulus": self.lambda2_modulus,
             "decision": self.decision,
             "positive_diagonal_support": self.positive_diagonal_support,
-            "uncertainty_halfwidth": self.uncertainty_halfwidth,
             "second_moment": asdict(self.second_moment),
             "discrepancy": self.discrepancy,
         }
@@ -121,7 +114,7 @@ def second_moment_rate(exact: Moments, n: int) -> SecondMoment:
     """
     dim = n * (n - 1) // 2
     if dim > MAX_EIGEN_DIM:
-        return SecondMoment(rho=None, decision=None, method=SKIPPED, exact=True)
+        return SecondMoment(rho=None, decision=None, method=SKIPPED)
     if dim == 0:  # n = 1: there is no disagreement
         rho = 0.0
     else:
@@ -130,7 +123,7 @@ def second_moment_rate(exact: Moments, n: int) -> SecondMoment:
         if not np.isfinite(form).all():
             raise NumericalError(f"second-moment form of dimension {dim} has non-finite entries")
         rho = spectral_radius(form)
-    return SecondMoment(rho=rho, decision=classify(rho), method=SYMMETRIC_FORM, exact=True)
+    return SecondMoment(rho=rho, decision=classify(rho), method=SYMMETRIC_FORM)
 
 
 def random_verdict(dist: MatrixDistribution) -> ConsensusVerdict:
@@ -142,7 +135,6 @@ def random_verdict(dist: MatrixDistribution) -> ConsensusVerdict:
         lambda2_modulus=lam2,
         decision=classify(lam2),
         positive_diagonal_support=exact.positive_diagonal,
-        uncertainty_halfwidth=0.0,
         second_moment=second_moment_rate(exact, dist.n),
     )
 

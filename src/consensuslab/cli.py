@@ -182,7 +182,6 @@ _FLAGS = {
     "--eps": dict(type=float),
     "--p": dict(type=float),
     "--x0": dict(help="'uniform01' or comma-separated reals"),
-    "--mc-samples": dict(dest="mc_samples", type=int, help="accepted; has no effect"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--threads": dict(type=int, default=1, help="accepted; has no effect"),
 }
@@ -190,13 +189,12 @@ _RUN_FLAGS = ("--config", "--out", "--seed", "--paths", "--horizon", "--eps", "-
 
 _COMMANDS = {
     "verdict": (cmd_verdict, "spectral consensus decision for a distribution",
-                ("--config", "--out", "--seed", "--mc-samples")),
+                ("--config", "--out")),
     "deterministic": (cmd_deterministic, "verdict for a single fixed matrix",
                       ("--config", "--out")),
     "simulate": (cmd_simulate, "simulate paths and emit per-path/aggregate series",
                  (*_RUN_FLAGS, "--format", "--threads")),
-    "modes": (cmd_modes, "estimate the three convergence modes",
-              (*_RUN_FLAGS, "--mc-samples", "--threads")),
+    "modes": (cmd_modes, "estimate the three convergence modes", _RUN_FLAGS),
 }
 
 

@@ -143,6 +143,13 @@ def checked_number(
     return value
 
 
+def checked_keys(what: str, doc: dict, known: Sequence[str]) -> None:
+    """Refuse the first key of config object ``doc`` outside ``known``: a typo gets no default."""
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ConfigError(f"unknown {what} field {unknown[0]!r}; known: {', '.join(known)}")
+
+
 # --- parametric generators -------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -217,6 +224,7 @@ def _param(params: dict, key: str, kind: type, low, high=None, *, default=None, 
 
 @_register("pairwise_gossip")
 def _pairwise_gossip(params: dict):
+    checked_keys("generator param", params, ("n",))
     n = _param(params, "n", int, 2)
     pair_count = n * (n - 1) // 2
 
@@ -265,6 +273,7 @@ def _pairwise_gossip(params: dict):
 
 @_register("dirichlet_rows")
 def _dirichlet_rows(params: dict):
+    checked_keys("generator param", params, ("n", "alpha"))
     n = _param(params, "n", int, 1)
     alpha = _param(params, "alpha", float, 0, default=1.0, strict=True)
     conc = np.full(n, alpha)
@@ -287,6 +296,7 @@ def _dirichlet_rows(params: dict):
 
 @_register("lazy_permutation")
 def _lazy_permutation(params: dict):
+    checked_keys("generator param", params, ("n", "hold_prob"))
     n = _param(params, "n", int, 1)
     hold_prob = _param(params, "hold_prob", float, 0, 1, default=0.5)
 
@@ -317,7 +327,9 @@ def _lazy_permutation(params: dict):
 def _lifted_pair(params: dict):
     # Joint sampling for the second-order block companion form
     # [[alpha*A, beta*B], [I, 0]] when either factor carries no atoms.
-    for key in ("alpha", "beta", "dist_a", "dist_b"):
+    keys = ("alpha", "beta", "dist_a", "dist_b")
+    checked_keys("generator param", params, keys)
+    for key in keys:
         if key not in params:
             raise ConfigError(f"generator params missing {key!r}")
     alpha, beta = lift_weights(params["alpha"], params["beta"])
@@ -768,8 +780,8 @@ def checked_x0(raw: Any) -> Union[str, list, tuple]:
     return raw
 
 
-# The rule of each run parameter.  mc_samples is accepted and bounded but has
-# no effect: every verdict uses closed-form moments.
+# The rule of each run parameter, one per field of RunParams.  A config's
+# simulation block may carry one other, retired field: load_config checks it.
 _RUN_RULES: dict[str, Callable[[Any], Any]] = {
     "paths": functools.partial(checked_number, int, "paths", low=1),
     "horizon": functools.partial(checked_number, int, "horizon", low=1),
@@ -777,7 +789,6 @@ _RUN_RULES: dict[str, Callable[[Any], Any]] = {
     "seed": checked_seed,
     "x0": checked_x0,
     "p": functools.partial(checked_number, float, "p", low=1),
-    "mc_samples": functools.partial(checked_number, int, "mc_samples", low=1000, high=10**9),
 }
 
 
@@ -801,7 +812,6 @@ class RunParams:
     seed: int = 0
     x0: Union[str, list] = "uniform01"
     p: float = 1.0
-    mc_samples: int = 10000
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -812,6 +822,7 @@ def distribution_from_config(doc: dict) -> MatrixDistribution:
     """Build a distribution from {"n": ..., "distribution": {...}}."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+    checked_keys("config", doc, ("n", "distribution", "simulation"))
     if "distribution" not in doc:
         raise ConfigError("config missing 'distribution'")
     spec = doc["distribution"]
@@ -819,16 +830,19 @@ def distribution_from_config(doc: dict) -> MatrixDistribution:
         raise ConfigError("'distribution' must be an object with a 'type' field")
     kind = spec["type"]
     if kind == "dirac":
+        checked_keys("dirac distribution", spec, ("type", "matrix"))
         if "matrix" not in spec:
             raise ConfigError("dirac distribution missing 'matrix'")
         dist = MatrixDistribution.dirac(validate_matrix(spec["matrix"]))
     elif kind == "finite":
+        checked_keys("finite distribution", spec, ("type", "atoms"))
         if "atoms" not in spec or not isinstance(spec["atoms"], list):
             raise ConfigError("finite distribution needs an 'atoms' array")
         atoms = []
         for idx, atom in enumerate(spec["atoms"]):
             if not isinstance(atom, dict) or "prob" not in atom or "matrix" not in atom:
                 raise ConfigError(f"atom {idx} must be an object with 'prob' and 'matrix'")
+            checked_keys(f"atom {idx}", atom, ("prob", "matrix"))
             try:
                 prob = checked_number(float, f"atom {idx} prob", atom["prob"])
                 atoms.append((prob, validate_matrix(atom["matrix"])))
@@ -836,6 +850,7 @@ def distribution_from_config(doc: dict) -> MatrixDistribution:
                 raise ConfigError(f"atom {idx}: {exc}") from exc
         dist = MatrixDistribution.finite(atoms)
     elif kind == "generator":
+        checked_keys("generator distribution", spec, ("type", "name", "params"))
         if "name" not in spec:
             raise ConfigError("generator distribution missing 'name'")
         name, params = spec["name"], spec.get("params", {})
@@ -874,10 +889,11 @@ def load_config(source: Union[str, os.PathLike, dict]) -> tuple[MatrixDistributi
     sim = doc.get("simulation", {})
     if not isinstance(sim, dict):
         raise ConfigError("'simulation' must be an object")
-    for key in sim:
-        if key not in _RUN_RULES:
-            raise ConfigError(f"unknown simulation field {key!r}")
-    return dist, RunParams(**sim)
+    checked_keys("simulation", sim, (*_RUN_RULES, "mc_samples"))
+    params = RunParams(**{key: sim[key] for key in sim if key != "mc_samples"})
+    if "mc_samples" in sim:  # retired: it passes its old rule, then is dropped
+        checked_number(int, "mc_samples", sim["mc_samples"], low=1000, high=10**9)
+    return dist, params
 
 
 def resolve_x0(x0: Union[str, Sequence[float]], n: int, policy: RngPolicy) -> np.ndarray:
