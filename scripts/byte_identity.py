@@ -12,11 +12,11 @@ mixture, `pairwise_gossip` at n=3 and n=10, `dirichlet_rows`,
 Dirichlet, the finite mixture and the dirac), then runs the same CLI calls
 in both trees, each in a fresh interpreter and an empty working directory:
 `verdict`, `deterministic`, `simulate --format csv|json`, `modes`, `lift`,
-`selfcheck`, a `--threads 3` run, flag overrides, `simulate` and `modes` at
-seeds 0 and 2^64-1 (a one-word and a two-word seed), and error paths whose
-output is part of the contract (atom probabilities that do not sum to 1, a
-blocked `--out`, which `verdict` meets after printing its result, a flag the
-command does not read).
+`selfcheck` at seeds 5 and 2^64-1, a `--threads 3` run, flag overrides,
+`simulate` and `modes` at seeds 0 and 2^64-1 (a one-word and a two-word
+seed), and error paths whose output is part of the contract (atom
+probabilities that do not sum to 1, a blocked `--out`, which `verdict`
+meets after printing its result, a flag the command does not read).
 
 For every call it compares the exit code, stdout and stderr (with the call's
 working directory replaced by `<out>`) and every file the call wrote.  It
@@ -103,10 +103,10 @@ def calls(cfg: dict[str, str]) -> list[list[str]]:
         ["modes", "--config", cfg["identity_swap"], "--x0", "1,0", "--out", "{out}"],
         ["lift", "--config-a", cfg["dirac"], "--config-b", cfg["dirac"], "--alpha", "0.5",
          "--out", "{out}/lifted.json"],
-        ["lift", "--config-a", cfg["finite"], "--config-b", cfg["dirac"], "--alpha", "0.3",
-         "--beta", "0.7"],
+        ["lift", "--config-a", cfg["finite"], "--config-b", cfg["dirac"], "--alpha", "0.3"],
         ["lift", "--config-a", cfg["gossip3"], "--config-b", cfg["dirac"], "--alpha", "0.4"],
         ["selfcheck", "--trials", "3", "--n-max", "4", "--seed", "5"],
+        ["selfcheck", "--seed", str(2**64 - 1), "--trials", "3"],  # two-word selfcheck substreams
         # one- and two-word master seeds: both entropy paths of the stream deriver
         *([command, "--config", cfg[name], "--seed", seed, "--out", "{out}"]
           for command, name in (("simulate", "gossip3"), ("modes", "dirichlet"))

@@ -65,16 +65,21 @@ def _read_config(path: str) -> tuple[tuple[MatrixDistribution, RunParams], str]:
     return load_config(text), hashlib.sha256(data).hexdigest()
 
 
-def _run_input(args: argparse.Namespace) -> tuple[MatrixDistribution, RunParams, RngPolicy, dict]:
-    """The one input step of a run: the config, flags over its simulation block, streams, manifest."""
+def _input(args: argparse.Namespace) -> tuple[MatrixDistribution, RunParams, dict]:
+    """The one input step of a command: the config, flags over its simulation block, manifest."""
     (dist, params), digest = _read_config(args.config)
     overrides = {f.name: getattr(args, f.name) for f in fields(RunParams)
                  if getattr(args, f.name, None) is not None}
     if "x0" in overrides:
         overrides["x0"] = _parse_x0(overrides["x0"])
-    params = replace(params, **overrides)
-    manifest = {"command": args.command, "parameters": asdict(params),
-                "config_digest": digest, "version": __version__}
+    manifest = {"command": args.command, "config_digest": digest, "version": __version__}
+    return dist, replace(params, **overrides), manifest
+
+
+def _run_input(args: argparse.Namespace) -> tuple[MatrixDistribution, RunParams, RngPolicy, dict]:
+    """:func:`_input` of a command that simulates: its streams, and a manifest of its parameters."""
+    dist, params, manifest = _input(args)
+    manifest["parameters"] = asdict(params)
     return dist, params, RngPolicy(params.seed), manifest
 
 
@@ -98,14 +103,14 @@ def _emit(doc: dict, args: argparse.Namespace, manifest: dict) -> None:
 
 
 def cmd_verdict(args: argparse.Namespace) -> int:
-    dist, _, _, manifest = _run_input(args)
+    dist, _, manifest = _input(args)
     verdict = random_verdict(dist)
     _emit(verdict.to_dict(), args, manifest)
     return EXIT_OK
 
 
 def cmd_deterministic(args: argparse.Namespace) -> int:
-    dist, _, _, manifest = _run_input(args)
+    dist, _, manifest = _input(args)
     if dist.kind != "dirac":
         raise ConfigError("deterministic verdict needs a dirac (single-matrix) config")
     lam2 = second_eigenvalue_modulus(dist.matrix)
@@ -149,8 +154,7 @@ def cmd_modes(args: argparse.Namespace) -> int:
 def cmd_lift(args: argparse.Namespace) -> int:
     (dist_a, _), _ = _read_config(args.config_a)
     (dist_b, _), _ = _read_config(args.config_b)
-    beta = 1.0 - args.alpha if args.beta is None else args.beta
-    lifted = lift_second_order(args.alpha, beta, dist_a, dist_b)
+    lifted = lift_second_order(args.alpha, 1.0 - args.alpha, dist_a, dist_b)
     doc = {"n": lifted.n, "distribution": lifted.to_config()}
     if args.out:
         _write_json(args.out, doc)
@@ -222,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="build the second-order block companion distribution")
     p.add_argument("--config-a", required=True)
     p.add_argument("--config-b", required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, default=None, help="defaults to 1 - alpha")
+    p.add_argument("--alpha", type=float, required=True, help="weight of A; B gets 1 - alpha")
     p.add_argument("--out", default=None, help="output config file")
     p.set_defaults(func=cmd_lift)
 

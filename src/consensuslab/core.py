@@ -587,55 +587,13 @@ def path_draws(
 # --- seeded stream derivation ----------------------------------------------
 
 # NumPy's SeedSequence, whose algorithm and output NumPy guarantees stable:
-# the pool size, the hashmix/mix constants and the shift.
+# the pool size, the hash and mix constants and the shift.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
-
-
-def _words(value: int) -> list[int]:
-    """A nonnegative int as the uint32 words SeedSequence coerces it to, least significant first."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value}")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
-
-
-def _mix_shared(words: list[int]) -> tuple[list[int], int]:
-    """SeedSequence's pool after mixing in ``words`` (at least 4), and its hash constant.
-
-    Python ints, masked to 32 bits: these are the words every stream of a
-    :func:`spawn_streams` call shares, mixed once.
-    """
-    const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> _XSHIFT
-
-    def mix(x: int, y: int) -> int:
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ result >> _XSHIFT
-
-    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    return pool, const
 
 
 @functools.cache
@@ -671,23 +629,6 @@ def _hash(values: np.ndarray, const: int, mult: int, count: int) -> tuple[np.nda
     return values, const
 
 
-def _pcg64_states(pool: list[int], const: int, own: np.ndarray) -> np.ndarray:
-    """``SeedSequence.generate_state(4, np.uint64)`` for each stream, one row per stream.
-
-    ``pool`` and ``const`` are :func:`_mix_shared` of the words the streams
-    share; ``own[j, s]`` is stream s's j-th own word, mixed in after them,
-    and there is at least one.
-    """
-    pool = np.array(pool, dtype=np.uint32)
-    for word in own:  # each word mixes into every pool entry
-        hashed, const = _hash(word[:, None], const, _MULT_A, _POOL_SIZE)
-        pool = np.uint32(_MIX_MULT_L) * pool - np.uint32(_MIX_MULT_R) * hashed
-        pool ^= pool >> np.uint32(_XSHIFT)
-    state, _ = _hash(np.concatenate([pool, pool], axis=1), _INIT_B, _MULT_B, 8)  # pool cycled
-    # word pairs read as little-endian uint64, whatever the host's byte order
-    return np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
-
-
 class _PresetSeed(np.random.bit_generator.ISeedSequence):
     """A seed sequence whose PCG64 state words are already computed."""
 
@@ -706,20 +647,25 @@ def spawn_streams(
     """For each index i, the Generator on the PCG64 that NumPy's SeedSequence seeds, same bits.
 
     The SeedSequence is the one of ``entropy`` and spawn key ``(*key, i)``.
-    One vectorised pass derives every stream's state.  Multi-word values
-    coerce as SeedSequence coerces them: an index of k uint32 words adds k
-    words of entropy, so the indices are mixed in groups of one word count.
+    NumPy mixes the words every stream shares; one vectorised pass mixes in
+    each stream's own index, a single uint32 word, and computes its
+    ``generate_state(4, np.uint64)``.
     """
-    # a spawn key is present, so the run entropy is padded to the pool
-    run = _words(entropy)
-    shared = run + [0] * (_POOL_SIZE - len(run)) + [w for k in key for w in _words(k)]
-    pool, const = _mix_shared(shared)
-    own = [_words(i) for i in indices]
-    states = np.empty((len(own), 4), dtype=np.uint64)
-    for count in sorted({len(words) for words in own}):
-        rows = [k for k, words in enumerate(own) if len(words) == count]
-        group = np.array([own[k] for k in rows], dtype=np.uint32)
-        states[rows] = _pcg64_states(pool, const, group.T)
+    own = [operator.index(i) for i in indices]
+    bad = [i for i in own if not 0 <= i <= _MASK32]
+    if bad:
+        raise ValueError(f"a stream index must lie in [0, 2^32), got {bad[0]}")
+    shared = np.random.SeedSequence(entropy, spawn_key=tuple(key))
+    # each shared word took four hashes; a spawn key pads the run entropy to the pool
+    words = [max(1, -(-operator.index(v).bit_length() // 32)) for v in (entropy, *key)]
+    shared_words = max(_POOL_SIZE, words[0]) + sum(words[1:])
+    const = _INIT_A * pow(_MULT_A, 4 * shared_words, 2**32) & _MASK32
+    hashed, _ = _hash(np.array(own, dtype=np.uint32)[:, None], const, _MULT_A, _POOL_SIZE)
+    pool = np.uint32(_MIX_MULT_L) * shared.pool - np.uint32(_MIX_MULT_R) * hashed
+    pool ^= pool >> np.uint32(_XSHIFT)
+    state, _ = _hash(np.concatenate([pool, pool], axis=1), _INIT_B, _MULT_B, 8)  # pool cycled
+    # word pairs read as little-endian uint64, whatever the host's byte order
+    states = np.ascontiguousarray(state, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
     return [np.random.Generator(np.random.PCG64(_PresetSeed(s))) for s in states]
 
 
@@ -732,8 +678,9 @@ class RngPolicy:
     """Deterministic stream derivation from a single 64-bit master seed.
 
     Stream (kind, index) is the one numpy's SeedSequence with spawn key
-    (kind, index) gives, derived by :func:`spawn_streams`, so
-    (master_seed, path_index) alone determines every draw on a path.
+    (kind, index) gives, so (master_seed, path_index) alone determines every
+    draw on a path.  A run's path streams are derived together by
+    :func:`spawn_streams`; a lone stream is NumPy's own.
     """
 
     master_seed: int
@@ -743,10 +690,14 @@ class RngPolicy:
         return spawn_streams(self.master_seed, (_STREAM_PATHS,), range(count))
 
     def path_stream(self, path_index: int) -> np.random.Generator:
-        return spawn_streams(self.master_seed, (_STREAM_PATHS,), [path_index])[0]
+        return self._stream(_STREAM_PATHS, path_index)
 
     def x0_stream(self) -> np.random.Generator:
-        return spawn_streams(self.master_seed, (_STREAM_X0,), [0])[0]
+        return self._stream(_STREAM_X0, 0)
+
+    def _stream(self, *key: int) -> np.random.Generator:
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=key)
+        return np.random.Generator(np.random.PCG64(seq))
 
 
 # --- configuration ---------------------------------------------------------

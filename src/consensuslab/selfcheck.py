@@ -18,7 +18,6 @@ from .core import (
     checked_seed,
     lift_second_order,
     sample,
-    spawn_streams,
     validate_matrix,
 )
 from .dynamics import simulate_path
@@ -48,7 +47,8 @@ class PropertyResult:
 
 def _rng(seed: int, label: str) -> np.random.Generator:
     # crc32 keyed substreams: stable across processes, unlike str.__hash__
-    return spawn_streams(seed, (), [zlib.crc32(label.encode())])[0]
+    seq = np.random.SeedSequence(seed, spawn_key=(zlib.crc32(label.encode()),))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 # The algebra and eigen batteries run every dimension up to this one, then

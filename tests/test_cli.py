@@ -95,7 +95,7 @@ class TestVerdictCommand:
         assert (out / "verdict.json").exists()
         manifest = _strict_loads((out / "verdict_manifest.json").read_text())
         assert manifest["command"] == "verdict"
-        assert manifest["parameters"]["seed"] == 7
+        assert "parameters" not in manifest
         assert len(manifest["config_digest"]) == 64
 
 
@@ -107,9 +107,19 @@ def test_result_and_manifest_file_formats(gossip_config, tmp_path, capsys):
     text = (out / "verdict_manifest.json").read_text(encoding="utf-8")
     manifest = _strict_loads(text)
     assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    assert sorted(manifest) == ["command", "config_digest", "parameters", "version"]
+    assert sorted(manifest) == ["command", "config_digest", "version"]
     with open(gossip_config, "rb") as fh:
         assert manifest["config_digest"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("command, recorded", [
+    ("verdict", False), ("deterministic", False), ("simulate", True), ("modes", True)])
+def test_only_commands_that_simulate_record_parameters(command, recorded, identity_config,
+                                                       tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--config", identity_config, "--out", str(out)]) == 0
+    manifest = _strict_loads((out / f"{command}_manifest.json").read_text())
+    assert ("parameters" in manifest) == recorded
 
 
 class TestDeterministicCommand:
@@ -574,7 +584,17 @@ class TestLiftCommand:
 
     def test_bad_alpha_exit_2(self, identity_config, capsys):
         assert main(["lift", "--config-a", identity_config, "--config-b", identity_config,
-                     "--alpha", "1.2", "--beta", "0.3"]) == 2
+                     "--alpha", "1.2"]) == 2
+        assert "lift weights must be nonnegative" in capsys.readouterr().err
+
+    def test_beta_flag_refused(self, identity_config, capsys):
+        # beta is always 1 - alpha: a flag with one legal value
+        with pytest.raises(SystemExit) as exc:
+            main(["lift", "--config-a", identity_config, "--config-b", identity_config,
+                  "--alpha", "0.5", "--beta", "0.5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unrecognized arguments: --beta 0.5" in err
 
     def test_finite_product_atom_count(self, mixture_config, tmp_path, capsys):
         out = tmp_path / "lifted.json"
@@ -694,8 +714,9 @@ def test_mc_samples_accepted_without_effect(command, tmp_path, capsys):
         cfg.write_text(json.dumps(dict(GOSSIP_CONFIG, simulation=simulation)))
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
         manifest = _strict_loads((out / f"{command}_manifest.json").read_text())
-        assert "mc_samples" not in manifest["parameters"]
-        return capsys.readouterr().out, manifest["parameters"]
+        assert "mc_samples" not in manifest.get("parameters", {})
+        del manifest["config_digest"]  # the config's bytes differ
+        return capsys.readouterr().out, manifest
 
     baseline = run(None)
     assert run(1000) == baseline and run(10000) == baseline and run(10**9) == baseline

@@ -221,7 +221,9 @@ class TestRngPolicy:
 
 # one- and two-word seeds, on both sides of each word boundary
 ORACLE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
-ORACLE_INDICES = (0, 1, 199, 2**32 - 1, 2**32, 2**40 + 7)
+# spawn_streams takes one-word indices; a lone path stream takes any index
+ONE_WORD_INDICES = (0, 1, 199, 2**31, 2**32 - 1)
+MULTI_WORD_INDICES = (2**32, 2**40 + 7, 2**70 + 1)
 
 
 def _oracle(seed, key):
@@ -236,17 +238,22 @@ def _assert_same_stream(got, expected):
 
 class TestStreamDeriver:
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
-    @pytest.mark.parametrize("kind", (0, 1, 2))
-    def test_matches_seed_sequence(self, seed, kind):
-        streams = spawn_streams(seed, (kind,), ORACLE_INDICES)
-        assert len(streams) == len(ORACLE_INDICES)
-        for index, got in zip(ORACLE_INDICES, streams):
-            _assert_same_stream(got, _oracle(seed, (kind, index)))
+    @pytest.mark.parametrize("key", [(0,), (1,), (2,), (5, 2**33)], ids=str)
+    def test_one_word_indices_match_seed_sequence(self, seed, key):
+        streams = spawn_streams(seed, key, ONE_WORD_INDICES)
+        assert len(streams) == len(ONE_WORD_INDICES)
+        for index, got in zip(ONE_WORD_INDICES, streams):
+            _assert_same_stream(got, _oracle(seed, (*key, index)))
+
+    def test_long_entropy_matches_seed_sequence(self):
+        # beyond the 64-bit seed contract: seven words of entropy, more than the pool holds
+        for index, got in zip(ONE_WORD_INDICES, spawn_streams(2**200, (0,), ONE_WORD_INDICES)):
+            _assert_same_stream(got, _oracle(2**200, (0, index)))
 
     @pytest.mark.parametrize("seed", ORACLE_SEEDS)
     def test_policy_streams_match_seed_sequence(self, seed):
         policy = RngPolicy(seed)
-        for index in ORACLE_INDICES:
+        for index in ONE_WORD_INDICES + MULTI_WORD_INDICES:
             _assert_same_stream(policy.path_stream(index), _oracle(seed, (0, index)))
         _assert_same_stream(policy.x0_stream(), _oracle(seed, (1, 0)))
 
@@ -266,16 +273,14 @@ class TestStreamDeriver:
             _assert_same_stream(streams[k], policy.path_stream(k))
         assert policy.path_streams(0) == []
 
-    def test_mixed_word_counts_keep_their_order(self):
-        # indices of one, two and three words, interleaved
-        indices = [2**40 + 7, 3, 2**70 + 1, 2**32 - 1, 2**32]
-        for index, got in zip(indices, spawn_streams(12345, (0,), indices)):
-            _assert_same_stream(got, _oracle(12345, (0, index)))
+    @pytest.mark.parametrize("indices", [[2**32], [-1], [0, 2**70 + 1]], ids=str)
+    def test_index_outside_one_word_refused(self, indices):
+        with pytest.raises(ValueError, match=r"stream index must lie in \[0, 2\^32\)"):
+            spawn_streams(5, (0,), indices)
 
-    @pytest.mark.parametrize("seed, indices", [(-1, [0]), (5, [-1]), (5, [0, -3])])
-    def test_negative_values_refused(self, seed, indices):
+    def test_negative_seed_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
-            spawn_streams(seed, (0,), indices)
+            spawn_streams(-1, (0,), [0])
 
 
 class TestLoadConfig:
