@@ -179,7 +179,8 @@ class Sampler:
     choices k, which may be the scratch block ``out`` it is given.
     ``atoms`` holds the (prob, matrix) pairs of a dirac or finite
     distribution; such a record has picks, and its matrices, validated
-    already, are never validated again.
+    already, are never validated again.  It also has ``pick(rng)``, the
+    choice of one draw: the bits and end state of ``picks([rng], 1)``.
     """
 
     moments: Callable[[], Moments]
@@ -187,6 +188,7 @@ class Sampler:
     picks: Optional[Callable[[Sequence[np.random.Generator], int], np.ndarray]] = None
     from_picks: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     atoms: Optional[tuple[tuple[float, StochasticMatrix], ...]] = None
+    pick: Optional[Callable[[np.random.Generator], int]] = None
 
 
 # name -> factory(params) returning (n, Sampler); every draw of a generator
@@ -443,6 +445,7 @@ class MatrixDistribution:
             picks=lambda rngs, count: np.broadcast_to(np.intp(0), (len(rngs), count)),  # no draw
             from_picks=lambda k, out: np.broadcast_to(a, (len(k), n, n)),
             atoms=((1.0, matrix),),
+            pick=lambda rng: 0,  # no draw
         )
         return MatrixDistribution(n=n, kind="dirac", matrix=matrix, sampler=sampler)
 
@@ -463,16 +466,21 @@ class MatrixDistribution:
             raise ConfigError(f"atoms have mixed dimensions {sorted(dims)}")
         atoms = tuple((float(p), m) for p, m in atoms)
         stack = np.stack([m.entries for _, m in atoms])
+
+        def pick(rng: np.random.Generator) -> int:
+            return int(pick_atoms(probs, rng.random()))
+
         sampler = Sampler(
             moments=lambda: Moments(
                 sum(p * m.entries for p, m in atoms),
                 lambda s: sum(p * (m.entries @ s @ m.entries.T) for p, m in atoms),
                 all(m.has_positive_diagonal() for p, m in atoms if p > 0),
             ),
-            draw=lambda rng: stack[pick_atoms(probs, rng.random())],
+            draw=lambda rng: stack[pick(rng)],
             picks=lambda rngs, count: pick_atoms(probs, np.stack([r.random(count) for r in rngs])),
             from_picks=lambda k, out: stack[k],
             atoms=atoms,
+            pick=pick,
         )
         return MatrixDistribution(n=stack.shape[1], kind="finite", atoms=atoms, sampler=sampler)
 
@@ -535,7 +543,7 @@ def sample(dist: MatrixDistribution, rng: np.random.Generator) -> StochasticMatr
     """Draw one matrix: an atom as it is, any other draw validated."""
     sampler = dist.sampler
     if sampler.atoms is not None:
-        return sampler.atoms[int(sampler.picks([rng], 1)[0, 0])][1]
+        return sampler.atoms[sampler.pick(rng)][1]
     return validate_matrix(_generator_draw(dist, rng))
 
 

@@ -320,25 +320,51 @@ def shift_invariance_check(
 # --- emission --------------------------------------------------------------
 
 
+def _formatted(values: np.ndarray) -> np.ndarray:
+    """``format(v, ".17g")`` of every float of the 1-D ``values``, each distinct bit pattern once.
+
+    Keyed by bits, so -0.0 and 0.0 stay apart; returns an object array of str.
+    """
+    keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    # %.17g formats as format(v, ".17g") does, signed zero, inf and nan included
+    text = (("%.17g\n" * len(keys)) % tuple(keys.view(np.float64).tolist())).split("\n")
+    # reshaped: the inverse's shape for axis=None changed across NumPy 2.0.x
+    return np.array(text[:-1], dtype=object)[inverse.reshape(values.shape)]
+
+
+def _write_rows(fh: IO[str], blocks: Sequence[tuple[str, Sequence[np.ndarray]]]) -> None:
+    """Rows ``<lead><t>,<v_1>,...,<v_k>`` for t = 0, 1, ... of each (lead, k columns) block.
+
+    Blocks are taken in chunks of as many as fit ``core.BLOCK_BYTES / 32``
+    bytes of float64 values, and each distinct value of a chunk is formatted
+    once: converged paths repeat 0.0, and every path starts from one x0.
+    """
+    longest = max([1, *(sum(len(c) for c in cols) for _, cols in blocks)])
+    step = max(1, core.BLOCK_BYTES // (32 * 8 * longest))
+    for start in range(0, len(blocks), step):
+        chunk = [(lead, np.array(cols, dtype=float)) for lead, cols in blocks[start : start + step]]
+        text = _formatted(np.concatenate([values.ravel() for _, values in chunk]))
+        at = 0
+        for lead, values in chunk:
+            k, steps = values.shape
+            rows = np.empty((steps, k + 1), dtype=object)
+            rows[:, 0] = range(steps)
+            rows[:, 1:] = text[at : at + values.size].reshape(k, steps).T
+            at += values.size
+            fh.write(((lead + "%d" + ",%s" * k + "\n") * steps) % tuple(rows.ravel().tolist()))
+
+
 def write_path_csv(records: Sequence[TrajectoryRecord], fh: IO[str]) -> None:
     """Long-format per-path series; row order is path-major, then t."""
     fh.write(",".join(PATH_CSV_COLUMNS) + "\n")
-    for rec in records:
-        steps = len(rec.diameter)
-        rows = np.empty((steps, 5), dtype=object)  # object entries format as Python ints and floats
-        rows[:, 0], rows[:, 1] = rec.path_id, range(steps)
-        rows[:, 2:] = np.column_stack((rec.diameter, rec.disagreement_inf, rec.disagreement_l2))
-        # %.17g formats as format(v, ".17g") does, signed zero, inf and nan included
-        fh.write(("%d,%d,%.17g,%.17g,%.17g\n" * steps) % tuple(rows.ravel().tolist()))
+    _write_rows(fh, [("%d," % rec.path_id, (rec.diameter, rec.disagreement_inf, rec.disagreement_l2))
+                     for rec in records])
 
 
 def write_aggregate_csv(report: ModeReport, fh: IO[str]) -> None:
     """One row per t of the curves of :func:`summarize_modes`."""
-    curves = zip(report.mean_curve, report.prob_curve, report.max_curve, report.lp_curve)
     fh.write(",".join(AGGREGATE_CSV_COLUMNS) + "\n")
-    fh.writelines(
-        f"{t},{a:.17g},{b:.17g},{c:.17g},{d:.17g}\n" for t, (a, b, c, d) in enumerate(curves)
-    )
+    _write_rows(fh, [("", (report.mean_curve, report.prob_curve, report.max_curve, report.lp_curve))])
 
 
 def paths_as_json(records: Sequence[TrajectoryRecord]) -> list[dict]:

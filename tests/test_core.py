@@ -26,7 +26,7 @@ from consensuslab.core import (
     spawn_streams,
 )
 
-from conftest import random_stochastic
+from conftest import random_stochastic, random_stochastic_matrix
 
 
 class TestValidateMatrix:
@@ -408,6 +408,23 @@ def test_gossip_picks_match_one_draw_at_a_time(n):
     assert np.array_equal(out, expected)
     assert picks_rng.bit_generator.state == loop_rng.bit_generator.state
     assert picks_rng.integers(7, size=3).tolist() == loop_rng.integers(7, size=3).tolist()
+
+
+@pytest.mark.parametrize("probs", [None, (1.0,), (0.2, 0.3, 0.5), (0.1, 0.0, 0.9)],
+                         ids=["dirac", "finite1", "finite3", "finite_zero_prob"])
+def test_atom_sample_matches_picks_route(probs):
+    # sample's scalar pick: the atoms, and the stream's end state, of picks([rng], 1)
+    mats = [random_stochastic_matrix(np.random.default_rng(k), 3) for k in range(len(probs or (1,)))]
+    dist = (MatrixDistribution.dirac(mats[0]) if probs is None
+            else MatrixDistribution.finite(list(zip(probs, mats))))
+    sample_rng, picks_rng = np.random.default_rng(17), np.random.default_rng(17)
+    sampled = [sample(dist, sample_rng) for _ in range(500)]
+    picked = [dist.sampler.atoms[int(dist.sampler.picks([picks_rng], 1)[0, 0])][1]
+              for _ in range(500)]
+    assert all(a is b for a, b in zip(sampled, picked))
+    assert sample_rng.bit_generator.state == picks_rng.bit_generator.state
+    if probs is not None and len(probs) > 1:
+        assert len({id(m) for m in sampled}) == sum(p > 0 for p in probs)
 
 
 def test_gossip_pair_tables_wait_for_the_first_draw():

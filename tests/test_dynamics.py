@@ -534,17 +534,22 @@ class TestEmission:
         assert lines[0] == "t,mean_diameter,p_exceed_eps,max_diameter,lp_mean"
         assert len(lines) == 1 + 7
 
+    @staticmethod
+    def _path_csv_reference(records):
+        ref = io.StringIO()
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(("path", "t", "diameter", "disagreement_inf", "disagreement_l2"))
+        for rec in records:
+            for t, row in enumerate(zip(rec.diameter, rec.disagreement_inf, rec.disagreement_l2)):
+                writer.writerow((rec.path_id, t, *(format(v, ".17g") for v in row)))
+        return ref.getvalue()
+
     def test_csv_bytes_match_csv_module_reference(self):
         special = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 0.1, 1 / 3])
         rec = TrajectoryRecord(7, special[:1], special, special[::-1].copy(), special * 3, special)
         buf = io.StringIO()
         write_path_csv([rec], buf)
-        ref = io.StringIO()
-        writer = csv.writer(ref, lineterminator="\n")
-        writer.writerow(("path", "t", "diameter", "disagreement_inf", "disagreement_l2"))
-        for t, row in enumerate(zip(rec.diameter, rec.disagreement_inf, rec.disagreement_l2)):
-            writer.writerow((7, t, *(format(v, ".17g") for v in row)))
-        assert buf.getvalue() == ref.getvalue()
+        assert buf.getvalue() == self._path_csv_reference([rec])
         fields = set(buf.getvalue().replace("\n", ",").split(","))
         assert {"-0", "4.9406564584124654e-324", "inf", "-inf", "nan"} <= fields
         records = self._records()
@@ -559,6 +564,40 @@ class TestEmission:
         for t, row in enumerate(curves):
             writer.writerow((t, *(format(v, ".17g") for v in row)))
         assert buf.getvalue() == ref.getvalue()
+
+    @staticmethod
+    def _record_sets():
+        # 60 paths of 301 steps: 18 a chunk, so 4 chunks, with exact-consensus
+        # zero tails; path ids not consecutive
+        dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
+        policy = RngPolicy(9)
+        chunked = simulate_paths(dist, np.array([0.9, 0.2, 0.5]), 300, policy.path_streams(60),
+                                 [7 * k + 3 for k in range(60)])
+        # one chunk holding both zeros, nan (two payloads and a sign), inf and the least subnormal
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
+        special = np.array([0.0, -0.0, np.nan, *nans, np.inf, -np.inf, 5e-324, -5e-324, 1 / 3])
+        specials = [TrajectoryRecord(k, special[:1], np.roll(special, k), special[::-1].copy(),
+                                     special * (k + 1), special) for k in (4, 2, 11)]
+        def ragged(*lengths):
+            return [TrajectoryRecord(k, None, *(np.linspace(0, 1, steps) ** (j + 1) for j in range(3)),
+                                     None) for k, steps in enumerate(lengths)]
+
+        return {"chunked": chunked, "specials": specials, "ragged": ragged(5, 1, 400, 0, 2, 40),
+                "longer_than_a_chunk": ragged(3, 6000, 2), "no_steps": ragged(0, 0), "empty": []}
+
+    @pytest.mark.parametrize("name", ["chunked", "specials", "ragged", "longer_than_a_chunk",
+                                      "no_steps", "empty"])
+    def test_path_csv_matches_reference(self, name):
+        records = self._record_sets()[name]
+        if name == "chunked":
+            per_chunk = core.BLOCK_BYTES // (32 * 8 * 3 * 301)
+            assert len(records) > 2 * per_chunk
+            assert (np.stack([r.diameter for r in records])[:, -1] == 0.0).mean() > 0.5
+        buf = io.StringIO()
+        write_path_csv(records, buf)
+        assert buf.getvalue() == self._path_csv_reference(records)
+        if name == "empty":
+            assert buf.getvalue() == "path,t,diameter,disagreement_inf,disagreement_l2\n"
 
     def test_json_payload(self):
         payload = paths_as_json(self._records())
