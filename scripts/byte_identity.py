@@ -14,8 +14,9 @@ in both trees, each in a fresh interpreter and an empty working directory:
 `verdict`, `deterministic`, `simulate --format csv|json`, `modes`, `lift`,
 `selfcheck` at seeds 5 and 2^64-1, a `--threads 3` run, flag overrides,
 `simulate` and `modes` at seeds 0 and 2^64-1 (a one-word and a two-word
-seed), a 60-path, 300-step gossip `simulate --format csv` (several chunks of
-the CSV writer, and paths that reach exact consensus), and error paths
+seed), a 60-path, 300-step gossip `simulate` in both formats (several chunks
+of the CSV writer and of the engine's diagnostics, paths that reach exact
+consensus, and their final states), and error paths
 whose output is part of the contract (atom probabilities that do not sum to
 1, a blocked `--out`, which `verdict` meets after printing its result, a
 flag the command does not read).
@@ -99,9 +100,10 @@ def calls(cfg: dict[str, str]) -> list[list[str]]:
         ["deterministic", "--config", cfg["finite"]],
         ["verdict", "--config", cfg["gossip10"]],
         ["simulate", "--config", cfg["gossip3"], "--threads", "3", "--out", "{out}"],
-        # several CSV writer chunks, and paths whose diameter reaches exactly 0
-        ["simulate", "--config", cfg["gossip3"], "--paths", "60", "--horizon", "300", "--format",
-         "csv", "--out", "{out}"],
+        # several CSV writer chunks and diagnostic chunks, paths whose diameter reaches
+        # exactly 0, and every final state
+        *(["simulate", "--config", cfg["gossip3"], "--paths", "60", "--horizon", "300",
+           "--format", fmt, "--out", "{out}"] for fmt in ("csv", "json")),
         ["simulate", "--config", cfg["gossip3"]],
         ["simulate", "--config", cfg["gossip3"], "--seed", "11", "--paths", "5", "--horizon",
          "10", "--eps", "0.01", "--p", "2", "--x0", "0.1,0.5,0.9", "--out", "{out}"],

@@ -1,6 +1,6 @@
 """Consensus analysis for linear random networks driven by i.i.d. stochastic matrices."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .core import (
     ConfigError,

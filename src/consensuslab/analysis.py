@@ -139,6 +139,19 @@ def random_verdict(dist: MatrixDistribution) -> ConsensusVerdict:
     )
 
 
+def second_moment_note(verdict: ConsensusVerdict) -> Optional[str]:
+    """Text of the contradiction between the |lambda2| decision and rho's, if rho was computed."""
+    moment = verdict.second_moment
+    if moment.decision is None or moment.decision == verdict.decision:
+        return None
+    side = "supports" if moment.decision == "consensus" else "does not support"
+    return (
+        f"spectral decision is {verdict.decision} (|lambda2| = {verdict.lambda2_modulus:.6g}) "
+        f"but the second-moment rate gives {moment.decision} (rho = {moment.rho:.6g}); "
+        f"rho, which needs no positive diagonal, {side} consensus"
+    )
+
+
 def discrepancy_note(verdict: ConsensusVerdict, modes: ModeReport) -> Optional[str]:
     """Text of the contradiction between spectral and empirical results, if any."""
     empirical_converged = modes.as_converged and modes.prob_converged and modes.lp_converged

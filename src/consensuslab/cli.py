@@ -17,7 +17,7 @@ from dataclasses import asdict, fields, replace
 from typing import Optional
 
 from . import __version__
-from .analysis import discrepancy_note, random_verdict
+from .analysis import discrepancy_note, random_verdict, second_moment_note
 from .core import (
     ConfigError,
     MatrixDistribution,
@@ -105,6 +105,7 @@ def _emit(doc: dict, args: argparse.Namespace, manifest: dict) -> None:
 def cmd_verdict(args: argparse.Namespace) -> int:
     dist, _, manifest = _input(args)
     verdict = random_verdict(dist)
+    verdict.discrepancy = second_moment_note(verdict)
     _emit(verdict.to_dict(), args, manifest)
     return EXIT_OK
 
@@ -140,9 +141,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_modes(args: argparse.Namespace) -> int:
     dist, params, policy, manifest = _run_input(args)
-    x0 = resolve_x0(params.x0, dist.n, policy)
-    # as in analysis.cross_validate: the verdict refuses a dimension before any simulation
+    # as in analysis.cross_validate: the verdict refuses a dimension before x0 or any simulation
     verdict = random_verdict(dist)
+    x0 = resolve_x0(params.x0, dist.n, policy)
     report = estimate_modes(dist, x0, params.paths, params.horizon, params.eps, params.p, policy)
     verdict.discrepancy = discrepancy_note(verdict, report)
     doc = report.to_dict()

@@ -74,7 +74,9 @@ def validate_matrix(raw: Any) -> StochasticMatrix:
         )
     if arr.shape[0] < 1:
         raise MatrixValidationError("matrix dimension must be >= 1")
-    validate_block(arr[None])
+    # a row sum of inf and -inf, or one that overflows, is refused without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        validate_block(arr[None])
     arr.setflags(write=False)
     return StochasticMatrix(entries=arr)
 
@@ -278,10 +280,13 @@ def _dirichlet_rows(params: dict):
     checked_keys("generator param", params, ("n", "alpha"))
     n = _param(params, "n", int, 1)
     alpha = _param(params, "alpha", float, 0, default=1.0, strict=True)
-    conc = np.full(n, alpha)
+
+    @functools.cache  # built on the first draw: a dimension refusal allocates nothing
+    def conc() -> np.ndarray:
+        return np.full(n, alpha)
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        return rng.dirichlet(conc, size=n)
+        return rng.dirichlet(conc(), size=n)
 
     def exact_moments() -> Moments:
         # independent rows a_i with E[a_i] = 1/n and
@@ -718,6 +723,20 @@ def checked_seed(raw: Any) -> int:
     return seed
 
 
+def allocated(make: Callable[..., np.ndarray], *args: Any) -> np.ndarray:
+    """``make(*args)``, an array whose size comes from the input.
+
+    NumPy refuses a shape beyond the address space with a ValueError
+    ("Maximum allowed dimension exceeded", "array is too big").  That is a
+    run too large for memory, so it is a ConfigError, as the CLI also makes
+    a MemoryError one.
+    """
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"run too large for memory: {exc}") from None
+
+
 def checked_state(x0: Any, n: int) -> np.ndarray:
     """The x0 rule for a concrete initial state: n finite reals, as a new float vector."""
     arr = np.array(x0, dtype=float)
@@ -858,5 +877,5 @@ def load_config(source: Union[str, os.PathLike, dict]) -> tuple[MatrixDistributi
 def resolve_x0(x0: Union[str, Sequence[float]], n: int, policy: RngPolicy) -> np.ndarray:
     """Turn an initial-state spec that passes :func:`checked_x0` into a concrete vector."""
     if checked_x0(x0) == "uniform01":
-        return policy.x0_stream().random(n)
+        return allocated(policy.x0_stream().random, n)
     return checked_state(x0, n)

@@ -19,6 +19,7 @@ from . import core
 from .core import (
     MatrixDistribution,
     RngPolicy,
+    allocated,
     block_slices,
     checked_param,
     checked_state,
@@ -40,7 +41,6 @@ class TrajectoryRecord:
     """One simulated path: diagnostics at every t = 0..T plus the final state."""
 
     path_id: int
-    x0: np.ndarray
     diameter: np.ndarray
     disagreement_inf: np.ndarray
     disagreement_l2: np.ndarray
@@ -114,7 +114,7 @@ def simulate_paths(
 
 def _new_series(paths: int, horizon: int) -> np.ndarray:
     """The (3, paths, horizon + 1) diagnostic series: diameter and both disagreement norms."""
-    return np.empty((3, paths, checked_param("horizon", horizon) + 1))
+    return allocated(np.empty, (3, paths, checked_param("horizon", horizon) + 1))
 
 
 def _simulate(
@@ -129,15 +129,15 @@ def _simulate(
     _iterate(dist, x, rngs, series)
     _check_series(series, path_ids)
     series.setflags(write=False)
+    x.setflags(write=False)
     diam, dis_inf, dis_l2 = series
     return [
         TrajectoryRecord(
             path_id=path_id,
-            x0=x0,
             diameter=diam[k],
             disagreement_inf=dis_inf[k],
             disagreement_l2=dis_l2[k],
-            final_state=x[k].copy(),
+            final_state=x[k],
         )
         for k, path_id in enumerate(path_ids)
     ]
@@ -151,18 +151,16 @@ def _iterate(
 ) -> None:
     """Step the (paths, n) states ``x`` in place, ``series`` taking their diagnostics.
 
-    The draws and the chunk buffers live only here, so they are freed
+    The draws and the chunk buffer live only here, so they are freed
     before the series is checked.
     """
-    paths, horizon = series.shape[1], series.shape[2] - 1
-    n = dist.n
+    paths, horizon, n = series.shape[1], series.shape[2] - 1, dist.n
     slices = block_slices(paths, n)
     draws = path_draws(dist, rngs, horizon)
-    # each step's states, path-major and time-innermost, in chunks of span
-    # steps whose buffers take 1/32 of BLOCK_BYTES each
+    # each step's states, time-innermost, in chunks of span steps whose
+    # buffer takes 1/32 of BLOCK_BYTES
     span = min(horizon + 1, max(1, core.BLOCK_BYTES // (32 * 8 * paths * n)))
-    states = np.empty((paths, span, n))
-    states_t = np.empty((paths, n, span))
+    states = np.empty((paths, n, span))
     # overflow is reported by _check_series as a NumericalError instead
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(horizon + 1):
@@ -171,24 +169,24 @@ def _iterate(
                     # one gemv per stacked item: the bits of a @ x[k]
                     x[sl] = np.matmul(draws(sl, t), x[sl, :, None])[:, :, 0]
             j = t % span
-            states[:, j] = x
-            states_t[:, :, j] = x
+            states[:, :, j] = x
             if j == span - 1 or t == horizon:
-                _diagnose(states[:, : j + 1], states_t[:, :, : j + 1], series[:, :, t - j : t + 1])
+                _diagnose(states[:, :, : j + 1], series[:, :, t - j : t + 1])
 
 
-def _diagnose(states: np.ndarray, states_t: np.ndarray, out: np.ndarray) -> None:
+def _diagnose(states: np.ndarray, out: np.ndarray) -> None:
     """Diameter and disagreement norms of a chunk of steps, into ``out`` (3, paths, span).
 
-    ``states`` is (paths, span, n) and ``states_t`` the same values as
-    (paths, n, span).  The mean and the dot stay path-major, with the bits
-    of one state at a time; max and min are exact, so they run on the
-    time-innermost copy, where each is elementwise over n rows.
+    ``states`` is (paths, n, span), time-innermost: max, min, abs and the
+    subtraction are exact, so they run there, each elementwise over n rows.
+    The mean and the dot run on one path-major copy, contiguous in n, with
+    the bits of one state at a time.
     """
-    mean = states.mean(axis=2)
-    out[0] = states_t.max(axis=1) - states_t.min(axis=1)
-    out[1] = np.abs(states_t - mean[:, None, :]).max(axis=1)
-    d = states - mean[:, :, None]
+    d = states.transpose(0, 2, 1).copy()
+    mean = d.mean(axis=2)
+    out[0] = states.max(axis=1) - states.min(axis=1)
+    out[1] = np.abs(states - mean[:, None, :]).max(axis=1)
+    d -= mean[:, :, None]
     # vecdot is the BLAS dot np.linalg.norm uses on one vector
     out[2] = np.sqrt(np.vecdot(d, d))
 
@@ -206,7 +204,8 @@ def _check_series(series: np.ndarray, path_ids: Sequence[int]) -> None:
     if not np.isfinite(series[:, k, t]).all():
         raise NumericalError(f"non-finite diameter or disagreement norm {where}")
     if diam[k, t] > diam[k, t - 1] + MONOTONICITY_SLACK:
-        raise NumericalError(f"diameter increased {where}: {diam[k, t - 1]!r} -> {diam[k, t]!r}")
+        raise NumericalError(
+            f"diameter increased {where}: {float(diam[k, t - 1])!r} -> {float(diam[k, t])!r}")
     raise NumericalError(f"disagreement max-norm exceeds diameter {where}")
 
 

@@ -67,11 +67,7 @@ def eigen_spectrum(m: np.ndarray) -> Spectrum:
             f"eigen residual {residual!r} exceeds {RESIDUAL_REL_TOL} * ||M|| = "
             f"{RESIDUAL_REL_TOL * scale!r} for a {n}x{n} matrix"
         )
-    order = sorted(
-        range(n),
-        key=lambda i: (-np.abs(values[i]), -values[i].real, -values[i].imag),
-    )
-    ordered = values[order]
+    ordered = values[np.lexsort((-values.imag, -values.real, -np.abs(values)))]
     ordered.setflags(write=False)
     return Spectrum(eigenvalues=ordered, residual=residual)
 

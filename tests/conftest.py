@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from consensuslab import MatrixDistribution, validate_matrix
+from consensuslab import MatrixDistribution, dynamics, validate_matrix
 
 
 def random_stochastic(rng, n):
@@ -34,3 +34,15 @@ def identity_swap_mixture(swap2):
 @pytest.fixture
 def gossip3():
     return MatrixDistribution.generator("pairwise_gossip", {"n": 3})
+
+
+@pytest.fixture
+def doubled_draws(monkeypatch):
+    """Every block the engine draws comes back doubled, rows summing to 2; atoms are not revalidated."""
+    path_draws = dynamics.path_draws
+
+    def doubled(dist, rngs, horizon):
+        draws = path_draws(dist, rngs, horizon)
+        return lambda sl, t: 2.0 * draws(sl, t)
+
+    monkeypatch.setattr(dynamics, "path_draws", doubled)

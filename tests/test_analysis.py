@@ -18,7 +18,7 @@ from consensuslab import (
 from consensuslab import analysis, core
 from consensuslab.analysis import second_moment_rate
 from consensuslab.core import Sampler, companion_block, registered_generators
-from consensuslab.spectral import NumericalError, second_eigenvalue_modulus
+from consensuslab.spectral import NumericalError, classify, second_eigenvalue_modulus
 
 from conftest import random_stochastic
 
@@ -110,6 +110,24 @@ class TestCrossValidate:
         assert v.lambda2_modulus == pytest.approx(0.0, abs=1e-9)
         assert v.discrepancy is not None
         assert "did not converge" in v.discrepancy
+
+
+@pytest.mark.parametrize("decision, rho, side", [
+    ("consensus", 1.0, "does not support"), ("marginal", 0.5, "supports"),
+    ("consensus", 0.5, None), ("consensus", None, None),
+])
+def test_second_moment_note_names_both_rates(decision, rho, side):
+    moment = analysis.SecondMoment(
+        rho=rho, decision=None if rho is None else classify(rho),
+        method=analysis.SKIPPED if rho is None else analysis.SYMMETRIC_FORM)
+    verdict = analysis.ConsensusVerdict(0.25, decision, False, moment)
+    note = analysis.second_moment_note(verdict)
+    if side is None:
+        assert note is None
+    else:
+        assert note.startswith(f"spectral decision is {decision} (|lambda2| = 0.25) but the "
+                               f"second-moment rate gives {classify(rho)} (rho = {rho:g}); ")
+        assert note.endswith(f", {side} consensus")
 
 
 class TestLiftSecondOrder:

@@ -447,6 +447,51 @@ def test_bad_input_exits_2_with_one_line(doc, argv, named, tmp_path, capsys):
     assert not list((tmp_path / "o").glob("*manifest.json"))
 
 
+def _unsized_generator(name, n):
+    """A generator config with no top-level n, so only params.n gives the dimension."""
+    params = {"n": n, **({"alpha": 0.5} if name == "dirichlet_rows" else {})}
+    return dict(_named_generator(name, params), simulation={"paths": 3, "horizon": 4})
+
+
+_TOO_LARGE = "run too large for memory: "
+_TOO_WIDE = "exceeds supported maximum 256"
+
+
+@pytest.mark.parametrize(
+    "doc, argv, named",
+    [
+        # shapes beyond the address space: numpy refuses them without allocating
+        pytest.param(GOSSIP_CONFIG, ["simulate", "--paths", str(10**19)], _TOO_LARGE,
+                     id="simulate_paths_1e19"),
+        pytest.param(GOSSIP_CONFIG, ["simulate", "--horizon", str(10**18)], _TOO_LARGE,
+                     id="simulate_horizon_1e18"),
+        pytest.param(dict(GOSSIP_CONFIG, simulation={"horizon": 1e308}), ["simulate"],
+                     _TOO_LARGE, id="simulate_config_horizon_1e308"),
+        pytest.param(GOSSIP_CONFIG, ["modes", "--paths", str(10**19)], _TOO_LARGE,
+                     id="modes_paths_1e19"),
+        *(pytest.param(_unsized_generator(name, 2**64), [command],
+                       _TOO_LARGE if command == "simulate" else _TOO_WIDE,
+                       id=f"{command}_{name}_n_2_64")
+          for name in ("pairwise_gossip", "dirichlet_rows", "lazy_permutation")
+          for command in ("simulate", "modes", "verdict")),
+        # refused by the dimension check before x0 or a concentration vector is built
+        *(pytest.param(_unsized_generator(name, 10**11), [command], f"dimension {10**11} " + _TOO_WIDE,
+                       id=f"{command}_{name}_n_1e11")
+          for name in ("pairwise_gossip", "dirichlet_rows", "lazy_permutation")
+          for command in ("modes", "verdict")),
+    ],
+)
+def test_impossible_size_exits_2_with_one_line(doc, argv, named, tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_text(json.dumps(doc))
+    assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ")
+    assert named in captured.err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_eigen_failure_exits_3_with_a_short_line(tmp_path, monkeypatch, capsys):
     n = 64
     cfg = tmp_path / "dirac64.json"
@@ -492,6 +537,20 @@ def test_overflowing_lp_curve_exits_3_and_writes_nothing(argv, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical failure: lp_curve is not finite at t=0 (p=2000.0)\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["modes"], ["simulate", "--format", "json"], ["simulate", "--format", "csv"],
+], ids=["modes", "simulate_json", "simulate_csv"])
+def test_increasing_diameter_exits_3_and_writes_nothing(argv, mixture_config, doubled_draws,
+                                                        tmp_path, capsys):
+    # identity and swap keep the diameter 1, so doubled they raise it to 2 at t=1
+    out = tmp_path / "o"
+    assert main([*argv, "--config", mixture_config, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: diameter increased at t=1 on path 0: 1.0 -> 2.0\n"
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -731,6 +790,38 @@ def test_lazy_permutation_second_moment_flags_the_lambda2_rule(tmp_path, capsys)
     assert doc["decision"] == "consensus" and doc["positive_diagonal_support"] is False
     assert doc["second_moment"]["rho"] == pytest.approx(1.0, abs=1e-12)
     assert doc["second_moment"]["decision"] == "marginal"
+
+
+_RHO_MARGINAL = re.escape(") but the second-moment rate gives marginal (rho = 1); rho, which "
+                          "needs no positive diagonal, does not support consensus")
+
+
+@pytest.mark.parametrize("doc, note", [
+    (_named_generator("lazy_permutation", {"n": 4, "hold_prob": 0.3}),
+     re.escape("spectral decision is consensus (|lambda2| = 0.3") + _RHO_MARGINAL),
+    # |lambda2| is 0 up to the eigen solve's rounding
+    (MIXTURE_CONFIG, re.escape("spectral decision is consensus (|lambda2| = ") + r"\S+"
+     + _RHO_MARGINAL),
+    (GOSSIP_CONFIG, None),
+    (_named_generator("dirichlet_rows", {"n": 4, "alpha": 0.7}), None),
+    # rho is skipped at n(n-1)/2 = 276 > 256: there is nothing to compare
+    (_named_generator("dirichlet_rows", {"n": 24, "alpha": 0.7}), None),
+], ids=["lazy_permutation", "identity_swap", "gossip3", "dirichlet4", "dirichlet24_skipped"])
+def test_verdict_notes_a_second_moment_disagreement(doc, note, tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+    cfg.write_text(json.dumps(doc))
+    assert main(["verdict", "--config", str(cfg), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    verdict = _strict_loads(printed)
+    if note is None:
+        assert verdict["discrepancy"] is None
+    else:
+        assert re.fullmatch(note, verdict["discrepancy"])
+    moment = verdict["second_moment"]
+    skipped = moment["method"] == "skipped"
+    assert skipped == (doc["distribution"].get("params", {}).get("n") == 24)
+    assert (not skipped and moment["decision"] != verdict["decision"]) == (note is not None)
+    assert (out / "verdict.json").read_text() == printed
 
 
 def test_package_version_matches_pyproject():

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -14,6 +15,7 @@ from consensuslab import (
     validate_matrix,
 )
 from consensuslab import core
+from consensuslab.analysis import random_verdict
 from consensuslab.core import (
     MatrixValidationError,
     block_slices,
@@ -57,6 +59,17 @@ class TestValidateMatrix:
     def test_error_names_the_bad_entry_as_a_plain_float(self, raw, message):
         with pytest.raises(MatrixValidationError) as exc:
             validate_matrix(raw)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("raw, message", [
+        ([[np.inf, -np.inf], [0.0, 1.0]], "matrix has non-finite entries"),
+        ([[1e308, 1e308], [0.0, 1.0]], "row 0 sums to inf, expected 1 within 1e-09"),
+    ], ids=["inf_minus_inf_row", "overflowing_row"])
+    def test_non_finite_row_sum_refused_without_a_warning(self, raw, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MatrixValidationError) as exc:
+                validate_matrix(raw)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("raw", ["abc", [[1], [0, 1]], {"a": 1}, [["x", "y"], ["z", "w"]],
@@ -437,6 +450,22 @@ def test_gossip_pair_tables_wait_for_the_first_draw():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert dist.sampler.picks([np.random.default_rng(0)], 4).max() < 3000 * 2999 // 2
+
+
+def test_dirichlet_concentration_waits_for_the_first_draw():
+    # an (n,) concentration vector of 800 MB: the verdict refuses the dimension first
+    tracemalloc.start()
+    try:
+        dist = MatrixDistribution.generator("dirichlet_rows", {"n": 10**8, "alpha": 0.5})
+        with pytest.raises(ConfigError, match="dimension 100000000 exceeds supported maximum 256"):
+            random_verdict(dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    small = MatrixDistribution.generator("dirichlet_rows", {"n": 3, "alpha": 0.5})
+    draw = small.sampler.draw(np.random.default_rng(1))
+    assert np.array_equal(draw, np.random.default_rng(1).dirichlet(np.full(3, 0.5), size=3))
 
 
 def test_dirac_path_draws_allocate_no_picks_array():

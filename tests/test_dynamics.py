@@ -159,6 +159,22 @@ def test_run_paths_equals_one_path_per_stream(name):
             assert np.array_equal(getattr(rec, field), getattr(alone, field)), (k, field)
 
 
+def test_final_states_are_frozen_rows_of_one_array():
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
+    x0 = np.array([0.9, 0.2, 0.5])
+    records = run_paths(dist, x0, 4, 6, RngPolicy(8))
+    base = records[0].final_state.base
+    assert base is not None and base.size == 12
+    for rec in records:
+        assert rec.final_state.base is base and not rec.final_state.flags.writeable
+    start = records[0].final_state.ctypes.data
+    assert [rec.final_state.ctypes.data - start for rec in records] == [0, 24, 48, 72]
+    with pytest.raises(ValueError):
+        records[1].final_state[0] = 0.0
+    assert "x0" not in {f.name for f in dataclasses.fields(TrajectoryRecord)}
+    assert x0.flags.writeable and x0.tolist() == [0.9, 0.2, 0.5]
+
+
 def _reference_paths(dist, x0, horizon, rngs):
     """One path at a time, one draw and one ``a @ x`` per step: the engine's reference."""
     out = []
@@ -263,9 +279,9 @@ def test_diagnostics_in_chunks_match_scalar_reference(name, monkeypatch):
     widths = []
     diagnose = dynamics._diagnose
 
-    def spy(states, states_t, out):
-        widths.append(states.shape[1])
-        diagnose(states, states_t, out)
+    def spy(states, out):
+        widths.append(states.shape[2])
+        diagnose(states, out)
 
     monkeypatch.setattr(dynamics, "_diagnose", spy)
     x0 = np.linspace(-1.0, 2.0, dist.n)
@@ -349,6 +365,12 @@ def test_overflowing_curve_is_a_numerical_error_without_a_warning():
             summarize_modes(records, 1e-3, 2000.0)
         report = summarize_modes(records, 1e200, 2.0)  # eps**p overflows to inf
     assert report.lp_converged and np.array_equal(report.lp_curve, [4.0] * 5)
+
+
+def test_increasing_diameter_is_a_numerical_error(identity_swap_mixture, doubled_draws):
+    with pytest.raises(NumericalError) as exc:
+        run_paths(identity_swap_mixture, np.array([0.0, 0.5]), 3, 4, RngPolicy(0))
+    assert str(exc.value) == "diameter increased at t=1 on path 0: 0.5 -> 1.0"
 
 
 class _Uniforms:
@@ -546,7 +568,7 @@ class TestEmission:
 
     def test_csv_bytes_match_csv_module_reference(self):
         special = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 0.1, 1 / 3])
-        rec = TrajectoryRecord(7, special[:1], special, special[::-1].copy(), special * 3, special)
+        rec = TrajectoryRecord(7, special, special[::-1].copy(), special * 3, special)
         buf = io.StringIO()
         write_path_csv([rec], buf)
         assert buf.getvalue() == self._path_csv_reference([rec])
@@ -576,10 +598,10 @@ class TestEmission:
         # one chunk holding both zeros, nan (two payloads and a sign), inf and the least subnormal
         nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
         special = np.array([0.0, -0.0, np.nan, *nans, np.inf, -np.inf, 5e-324, -5e-324, 1 / 3])
-        specials = [TrajectoryRecord(k, special[:1], np.roll(special, k), special[::-1].copy(),
+        specials = [TrajectoryRecord(k, np.roll(special, k), special[::-1].copy(),
                                      special * (k + 1), special) for k in (4, 2, 11)]
         def ragged(*lengths):
-            return [TrajectoryRecord(k, None, *(np.linspace(0, 1, steps) ** (j + 1) for j in range(3)),
+            return [TrajectoryRecord(k, *(np.linspace(0, 1, steps) ** (j + 1) for j in range(3)),
                                      None) for k, steps in enumerate(lengths)]
 
         return {"chunked": chunked, "specials": specials, "ragged": ragged(5, 1, 400, 0, 2, 40),

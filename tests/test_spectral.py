@@ -33,6 +33,16 @@ class TestEigenSpectrum:
         # equal moduli; real part descending puts +1 first
         assert np.allclose(spec.eigenvalues, [1.0, -1.0], atol=1e-12)
 
+    def test_equal_moduli_and_real_parts_by_imag_desc(self):
+        # two rotations by 0.6 +- 0.8i and -0.6 +- 0.8i: four eigenvalues of modulus 1,
+        # in pairs of equal real part; the solver lists the negative pair first
+        m = np.zeros((4, 4))
+        m[:2, :2] = [[-0.6, -0.8], [0.8, -0.6]]
+        m[2:, 2:] = [[0.6, -0.8], [0.8, 0.6]]
+        spec = eigen_spectrum(m)
+        assert np.allclose(spec.eigenvalues, [0.6 + 0.8j, 0.6 - 0.8j, -0.6 + 0.8j, -0.6 - 0.8j],
+                           atol=1e-12)
+
     def test_circulant_by_hand(self):
         spec = eigen_spectrum(np.array(CIRCULANT3))
         assert np.allclose(sorted(spec.eigenvalues.real, reverse=True), [1.0, 0.5, 0.5], atol=1e-9)
