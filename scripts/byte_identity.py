@@ -16,7 +16,9 @@ in both trees, each in a fresh interpreter and an empty working directory:
 `simulate` and `modes` at seeds 0 and 2^64-1 (a one-word and a two-word
 seed), a 60-path, 300-step gossip `simulate` in both formats (several chunks
 of the CSV writer and of the engine's diagnostics, paths that reach exact
-consensus, and their final states), and error paths
+consensus, and their final states), a one-path gossip `simulate` in both
+formats and a one-path `modes --p 3` on the Dirichlet (a run of one row),
+and error paths
 whose output is part of the contract (atom probabilities that do not sum to
 1, a blocked `--out`, which `verdict` meets after printing its result, a
 flag the command does not read).
@@ -104,6 +106,10 @@ def calls(cfg: dict[str, str]) -> list[list[str]]:
         # exactly 0, and every final state
         *(["simulate", "--config", cfg["gossip3"], "--paths", "60", "--horizon", "300",
            "--format", fmt, "--out", "{out}"] for fmt in ("csv", "json")),
+        # a run of one path: one row of each array, and the curves of one diameter
+        *(["simulate", "--config", cfg["gossip3"], "--paths", "1", "--format", fmt,
+           "--out", "{out}"] for fmt in ("csv", "json")),
+        ["modes", "--config", cfg["dirichlet"], "--paths", "1", "--p", "3", "--out", "{out}"],
         ["simulate", "--config", cfg["gossip3"]],
         ["simulate", "--config", cfg["gossip3"], "--seed", "11", "--paths", "5", "--horizon",
          "10", "--eps", "0.01", "--p", "2", "--x0", "0.1,0.5,0.9", "--out", "{out}"],

@@ -25,11 +25,11 @@ from .spectral import (
 )
 from .dynamics import (
     ModeReport,
-    TrajectoryRecord,
+    Paths,
     estimate_modes,
     run_paths,
     shift_invariance_check,
-    simulate_path,
+    simulate_paths,
     zero_one_probe,
 )
 from .analysis import (
@@ -46,12 +46,12 @@ __all__ = [
     "ModeReport",
     "Moments",
     "NumericalError",
+    "Paths",
     "ProjectionPair",
     "RngPolicy",
     "SecondMoment",
     "Spectrum",
     "StochasticMatrix",
-    "TrajectoryRecord",
     "cross_validate",
     "deterministic_verdict",
     "diameter",
@@ -67,7 +67,7 @@ __all__ = [
     "sample",
     "second_eigenvalue_modulus",
     "shift_invariance_check",
-    "simulate_path",
+    "simulate_paths",
     "spectral_radius",
     "validate_matrix",
     "zero_one_probe",

@@ -23,6 +23,7 @@ from .core import (
     MatrixDistribution,
     RngPolicy,
     RunParams,
+    echo,
     lift_second_order,
     load_config,
     resolve_x0,
@@ -49,7 +50,8 @@ def _parse_x0(text: str):
     try:
         return text if text == "uniform01" else [float(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"--x0 must be 'uniform01' or comma-separated reals, got {text!r}") from exc
+        raise ConfigError(
+            f"--x0 must be 'uniform01' or comma-separated reals, got {echo(text)}") from exc
 
 
 def _read_config(path: str) -> tuple[tuple[MatrixDistribution, RunParams], str]:
@@ -122,17 +124,17 @@ def cmd_deterministic(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     dist, params, policy, manifest = _run_input(args)
     x0 = resolve_x0(params.x0, dist.n, policy)
-    records = run_paths(dist, x0, params.paths, params.horizon, policy)
-    report = summarize_modes(records, params.eps, params.p)  # before any file is written
+    run = run_paths(dist, x0, params.paths, params.horizon, policy)
+    report = summarize_modes(run.diameter, params.eps, params.p)  # before any file is written
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     if args.format == "csv":
         with open(os.path.join(out, "paths.csv"), "w", encoding="utf-8", newline="") as fh:
-            write_path_csv(records, fh)
+            write_path_csv(run, fh)
         with open(os.path.join(out, "aggregate.csv"), "w", encoding="utf-8", newline="") as fh:
             write_aggregate_csv(report, fh)
     else:
-        _write_json(os.path.join(out, "paths.json"), paths_as_json(records))
+        _write_json(os.path.join(out, "paths.json"), paths_as_json(run))
         _write_json(os.path.join(out, "aggregate.json"), report.to_dict())
     _write_json(os.path.join(out, "simulate_manifest.json"), manifest, sort_keys=True)
     print(f"wrote {params.paths} paths x {params.horizon + 1} steps to {out}")

@@ -12,6 +12,7 @@ import json
 import math
 import operator
 import os
+import reprlib
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Sequence, Union
 
@@ -27,6 +28,12 @@ class ConfigError(ValueError):
 
 class MatrixValidationError(ConfigError):
     """An array failed the stochastic-matrix checks."""
+
+
+# how an error message echoes an input: a repr cut to a few dozen characters
+_ECHO = reprlib.Repr()
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 60
+echo = _ECHO.repr
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +135,11 @@ def checked_number(
         kind is int and isinstance(raw, (float, np.floating)) and not raw.is_integer()
     ):
         expected = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {expected}, got {raw!r}")
+        raise ConfigError(f"{name} must be {expected}, got {echo(raw)}")
     try:
         value = kind(raw)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {raw!r}") from None
+        raise ConfigError(f"{name} must be a number, got {echo(raw)}") from None
     if low is None:
         return value
     if high is not None:
@@ -141,7 +148,7 @@ def checked_number(
         rule = f"{'finite and ' if kind is float else ''}{'>' if strict else '>='} {low}"
         ok = (low < value if strict else low <= value) and value < math.inf
     if not ok:
-        raise ConfigError(f"{name} must be {rule}, got {value!r}")
+        raise ConfigError(f"{name} must be {rule}, got {echo(value)}")
     return value
 
 
@@ -149,7 +156,7 @@ def checked_keys(what: str, doc: dict, known: Sequence[str]) -> None:
     """Refuse the first key of config object ``doc`` outside ``known``: a typo gets no default."""
     unknown = [key for key in doc if key not in known]
     if unknown:
-        raise ConfigError(f"unknown {what} field {unknown[0]!r}; known: {', '.join(known)}")
+        raise ConfigError(f"unknown {what} field {echo(unknown[0])}; known: {', '.join(known)}")
 
 
 # --- parametric generators -------------------------------------------------
@@ -492,9 +499,8 @@ class MatrixDistribution:
     @staticmethod
     def generator(name: str, params: dict) -> "MatrixDistribution":
         if name not in _GENERATORS:
-            raise ConfigError(
-                f"unknown generator {name!r}; registered: {', '.join(registered_generators())}"
-            )
+            known = ", ".join(registered_generators())
+            raise ConfigError(f"unknown generator {echo(name)}; registered: {known}")
         n, sampler = _GENERATORS[name](dict(params))
         return MatrixDistribution(n, "generator", name=name, params=dict(params), sampler=sampler)
 
@@ -753,7 +759,7 @@ def checked_x0(raw: Any) -> Union[str, list, tuple]:
     if isinstance(raw, str) and raw == "uniform01":
         return raw
     if not isinstance(raw, (list, tuple)):
-        raise ConfigError(f"x0 must be 'uniform01' or an array of finite reals, got {raw!r}")
+        raise ConfigError(f"x0 must be 'uniform01' or an array of finite reals, got {echo(raw)}")
     checked_state([checked_number(float, f"x0[{i}]", e) for i, e in enumerate(raw)], len(raw))
     return raw
 
@@ -838,7 +844,7 @@ def distribution_from_config(doc: dict) -> MatrixDistribution:
             raise ConfigError(f"generator 'params' must be an object, got {type(params).__name__}")
         dist = MatrixDistribution.generator(name, params)
     else:
-        raise ConfigError(f"unknown distribution type {kind!r}")
+        raise ConfigError(f"unknown distribution type {echo(kind)}")
     if "n" in doc and checked_number(int, "config field n", doc["n"]) != dist.n:
         raise ConfigError(f"config field n={doc['n']} disagrees with distribution dimension {dist.n}")
     return dist

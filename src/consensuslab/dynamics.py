@@ -37,10 +37,13 @@ AGGREGATE_CSV_COLUMNS = ("t", "mean_diameter", "p_exceed_eps", "max_diameter", "
 
 
 @dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """One simulated path: diagnostics at every t = 0..T plus the final state."""
+class Paths:
+    """A run: row k of each array is path k, its diagnostics at t = 0..T and its final state.
 
-    path_id: int
+    The three (paths, T+1) series are read-only views of the engine's one
+    (3, paths, T+1) series; ``final_state`` is its read-only (paths, n) array.
+    """
+
     diameter: np.ndarray
     disagreement_inf: np.ndarray
     disagreement_l2: np.ndarray
@@ -87,12 +90,11 @@ def simulate_paths(
     x0: np.ndarray,
     horizon: int,
     rngs: Sequence[np.random.Generator],
-    path_ids: Sequence[int],
-) -> list[TrajectoryRecord]:
+) -> Paths:
     """Iterate the network on every path at once, one i.i.d. draw per path and step.
 
     Path k draws only from ``rngs[k]``, in the order one-path-at-a-time
-    sampling would, as :func:`core.path_draws` sets out; so a record does
+    sampling would, as :func:`core.path_draws` sets out; so row k does
     not depend on which other paths run alongside it.  Each step applies
     the drawn matrices as stacked matrix-vector products, over path slices
     whose matrix block fits ``core.BLOCK_BYTES``.  ``x0`` passes
@@ -109,7 +111,7 @@ def simulate_paths(
     non-finite value raises too.
     """
     x0 = checked_state(x0, dist.n)
-    return _simulate(dist, x0, _new_series(len(rngs), horizon), rngs, path_ids)
+    return _simulate(dist, x0, _new_series(len(rngs), horizon), rngs)
 
 
 def _new_series(paths: int, horizon: int) -> np.ndarray:
@@ -122,25 +124,14 @@ def _simulate(
     x0: np.ndarray,
     series: np.ndarray,
     rngs: Sequence[np.random.Generator],
-    path_ids: Sequence[int],
-) -> list[TrajectoryRecord]:
+) -> Paths:
     """:func:`simulate_paths` from a checked ``x0``, filling ``series``."""
     x = np.tile(x0, (series.shape[1], 1))
     _iterate(dist, x, rngs, series)
-    _check_series(series, path_ids)
+    _check_series(series)
     series.setflags(write=False)
     x.setflags(write=False)
-    diam, dis_inf, dis_l2 = series
-    return [
-        TrajectoryRecord(
-            path_id=path_id,
-            diameter=diam[k],
-            disagreement_inf=dis_inf[k],
-            disagreement_l2=dis_l2[k],
-            final_state=x[k],
-        )
-        for k, path_id in enumerate(path_ids)
-    ]
+    return Paths(*series, final_state=x)
 
 
 def _iterate(
@@ -191,7 +182,7 @@ def _diagnose(states: np.ndarray, out: np.ndarray) -> None:
     out[2] = np.sqrt(np.vecdot(d, d))
 
 
-def _check_series(series: np.ndarray, path_ids: Sequence[int]) -> None:
+def _check_series(series: np.ndarray) -> None:
     """Raise on the first failing t of the first failing path."""
     diam, dis_inf, _ = series
     ok = np.isfinite(series).all(axis=0)
@@ -200,7 +191,7 @@ def _check_series(series: np.ndarray, path_ids: Sequence[int]) -> None:
     if ok.all():
         return
     k, t = np.unravel_index(np.argmin(ok), ok.shape)
-    where = f"at t={t} on path {path_ids[k]}"
+    where = f"at t={t} on path {k}"
     if not np.isfinite(series[:, k, t]).all():
         raise NumericalError(f"non-finite diameter or disagreement norm {where}")
     if diam[k, t] > diam[k, t - 1] + MONOTONICITY_SLACK:
@@ -209,24 +200,13 @@ def _check_series(series: np.ndarray, path_ids: Sequence[int]) -> None:
     raise NumericalError(f"disagreement max-norm exceeds diameter {where}")
 
 
-def simulate_path(
-    dist: MatrixDistribution,
-    x0: np.ndarray,
-    horizon: int,
-    rng: np.random.Generator,
-    path_id: int = 0,
-) -> TrajectoryRecord:
-    """One path of :func:`simulate_paths`."""
-    return simulate_paths(dist, x0, horizon, [rng], [path_id])[0]
-
-
 def run_paths(
     dist: MatrixDistribution,
     x0: np.ndarray,
     paths: int,
     horizon: int,
     policy: RngPolicy,
-) -> list[TrajectoryRecord]:
+) -> Paths:
     """Simulate independent paths, path k on stream k of ``policy.path_streams(paths)``.
 
     Stream k depends only on (master_seed, k), so the results are fixed by
@@ -238,32 +218,30 @@ def run_paths(
     # deriving one stream per path
     series = _new_series(paths, horizon)
     rngs = policy.path_streams(paths)
-    return _simulate(dist, x0, series, rngs, range(paths))
+    return _simulate(dist, x0, series, rngs)
 
 
-def summarize_modes(
-    records: Sequence[TrajectoryRecord], eps: float, p: float
-) -> ModeReport:
-    """Aggregate per-path diagnostics into every aggregate curve and the three mode classifications.
+def summarize_modes(diameter: np.ndarray, eps: float, p: float) -> ModeReport:
+    """Every aggregate curve and the three mode classifications of a (paths, T+1) diameter array.
 
     A curve that is not finite (diameter**p overflowing, say) is a NumericalError.
     """
     eps, p = checked_param("eps", eps), checked_param("p", p)
-    diam = np.stack([r.diameter for r in records])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        curves = dict(prob_curve=(diam > eps).mean(axis=0), lp_curve=(diam ** p).mean(axis=0),
-                      mean_curve=diam.mean(axis=0), max_curve=diam.max(axis=0))
+        curves = dict(prob_curve=(diameter > eps).mean(axis=0),
+                      lp_curve=(diameter ** p).mean(axis=0),
+                      mean_curve=diameter.mean(axis=0), max_curve=diameter.max(axis=0))
         lp_bound = float(np.float64(eps) ** p)  # inf if it overflows: it bounds every finite mean
     for name, curve in curves.items():
         if not np.isfinite(curve).all():
             t = int(np.argmin(np.isfinite(curve)))
             raise NumericalError(f"{name} is not finite at t={t} (p={p!r})")
         curve.setflags(write=False)
-    as_fraction = float((diam[:, -1] <= eps).mean())
+    as_fraction = float((diameter[:, -1] <= eps).mean())
     return ModeReport(
         eps=eps,
         p=p,
-        horizon=diam.shape[1] - 1,
+        horizon=diameter.shape[1] - 1,
         as_fraction=as_fraction,
         as_converged=as_fraction >= AS_CONVERGED_FRACTION,
         prob_converged=float(curves["prob_curve"][-1]) <= PROB_CONVERGED_LEVEL,
@@ -283,7 +261,7 @@ def estimate_modes(
 ) -> ModeReport:
     """:func:`summarize_modes` of :func:`run_paths`; eps and p are checked before simulating."""
     eps, p = checked_param("eps", eps), checked_param("p", p)
-    return summarize_modes(run_paths(dist, x0, paths, horizon, policy), eps, p)
+    return summarize_modes(run_paths(dist, x0, paths, horizon, policy).diameter, eps, p)
 
 
 def zero_one_probe(
@@ -311,8 +289,8 @@ def shift_invariance_check(
     """
     x0 = np.asarray(x0, dtype=float)
     policy = RngPolicy(seed)
-    base = simulate_path(dist, x0, horizon, policy.path_stream(0))
-    shifted = simulate_path(dist, x0 + c, horizon, policy.path_stream(0))
+    base = simulate_paths(dist, x0, horizon, [policy.path_stream(0)])
+    shifted = simulate_paths(dist, x0 + c, horizon, [policy.path_stream(0)])
     return bool(np.max(np.abs(base.diameter - shifted.diameter)) <= 1e-10)
 
 
@@ -331,49 +309,47 @@ def _formatted(values: np.ndarray) -> np.ndarray:
     return np.array(text[:-1], dtype=object)[inverse.reshape(values.shape)]
 
 
-def _write_rows(fh: IO[str], blocks: Sequence[tuple[str, Sequence[np.ndarray]]]) -> None:
-    """Rows ``<lead><t>,<v_1>,...,<v_k>`` for t = 0, 1, ... of each (lead, k columns) block.
+def _write_rows(fh: IO[str], leads: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Rows ``<lead><t>,<v_1>,...,<v_k>`` for t = 0, 1, ... of each lead.
 
-    Blocks are taken in chunks of as many as fit ``core.BLOCK_BYTES / 32``
-    bytes of float64 values, and each distinct value of a chunk is formatted
-    once: converged paths repeat 0.0, and every path starts from one x0.
+    ``columns`` are k equal-shaped (rows, steps) arrays, and row r of each
+    belongs to ``leads[r]``.  Rows are taken in chunks of as many as fit
+    ``core.BLOCK_BYTES / 32`` bytes of float64 values, and each distinct
+    value of a chunk is formatted once: converged paths repeat 0.0, and
+    every path starts from one x0.
     """
-    longest = max([1, *(sum(len(c) for c in cols) for _, cols in blocks)])
-    step = max(1, core.BLOCK_BYTES // (32 * 8 * longest))
-    for start in range(0, len(blocks), step):
-        chunk = [(lead, np.array(cols, dtype=float)) for lead, cols in blocks[start : start + step]]
-        text = _formatted(np.concatenate([values.ravel() for _, values in chunk]))
-        at = 0
-        for lead, values in chunk:
-            k, steps = values.shape
-            rows = np.empty((steps, k + 1), dtype=object)
-            rows[:, 0] = range(steps)
-            rows[:, 1:] = text[at : at + values.size].reshape(k, steps).T
-            at += values.size
-            fh.write(((lead + "%d" + ",%s" * k + "\n") * steps) % tuple(rows.ravel().tolist()))
+    k = len(columns)
+    rows, steps = columns[0].shape
+    step = max(1, core.BLOCK_BYTES // (32 * 8 * max(1, k * steps)))
+    cells = np.empty((steps, k + 1), dtype=object)
+    cells[:, 0] = range(steps)
+    for start in range(0, rows, step):
+        values = np.stack([col[start : start + step] for col in columns], axis=2)
+        text = _formatted(values.ravel()).reshape(values.shape)
+        for lead, row in zip(leads[start : start + step], text):
+            cells[:, 1:] = row
+            fh.write(((lead + "%d" + ",%s" * k + "\n") * steps) % tuple(cells.ravel().tolist()))
 
 
-def write_path_csv(records: Sequence[TrajectoryRecord], fh: IO[str]) -> None:
+def write_path_csv(run: Paths, fh: IO[str]) -> None:
     """Long-format per-path series; row order is path-major, then t."""
     fh.write(",".join(PATH_CSV_COLUMNS) + "\n")
-    _write_rows(fh, [("%d," % rec.path_id, (rec.diameter, rec.disagreement_inf, rec.disagreement_l2))
-                     for rec in records])
+    _write_rows(fh, ["%d," % k for k in range(len(run.diameter))],
+                (run.diameter, run.disagreement_inf, run.disagreement_l2))
 
 
 def write_aggregate_csv(report: ModeReport, fh: IO[str]) -> None:
     """One row per t of the curves of :func:`summarize_modes`."""
     fh.write(",".join(AGGREGATE_CSV_COLUMNS) + "\n")
-    _write_rows(fh, [("", (report.mean_curve, report.prob_curve, report.max_curve, report.lp_curve))])
+    curves = (report.mean_curve, report.prob_curve, report.max_curve, report.lp_curve)
+    _write_rows(fh, [""], [curve[None] for curve in curves])
 
 
-def paths_as_json(records: Sequence[TrajectoryRecord]) -> list[dict]:
+def paths_as_json(run: Paths) -> list[dict]:
+    """One object per path, as ``paths.json`` holds them."""
+    columns = (run.diameter, run.disagreement_inf, run.disagreement_l2, run.final_state)
     return [
-        {
-            "path": rec.path_id,
-            "diameter": rec.diameter.tolist(),
-            "disagreement_inf": rec.disagreement_inf.tolist(),
-            "disagreement_l2": rec.disagreement_l2.tolist(),
-            "final_state": rec.final_state.tolist(),
-        }
-        for rec in records
+        {"path": k, "diameter": diam, "disagreement_inf": dis_inf, "disagreement_l2": dis_l2,
+         "final_state": x}
+        for k, (diam, dis_inf, dis_l2, x) in enumerate(zip(*(c.tolist() for c in columns)))
     ]

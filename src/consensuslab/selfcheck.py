@@ -20,7 +20,7 @@ from .core import (
     sample,
     validate_matrix,
 )
-from .dynamics import simulate_path
+from .dynamics import simulate_paths
 from .projection import diameter, disagreement, make_projections
 from .spectral import (
     check_eigen_dimension,
@@ -151,8 +151,8 @@ def _check_monotonicity(trials: int, n_max: int, seed: int) -> int:
             (0.5, validate_matrix(_random_stochastic(rng, n))),
         ]
         dist = MatrixDistribution.finite(atoms)
-        # simulate_path raises on any diameter increase
-        simulate_path(dist, rng.random(n), 30, rng)
+        # simulate_paths raises on any diameter increase
+        simulate_paths(dist, rng.random(n), 30, [rng])
         checks += 30
     return checks
 
@@ -195,8 +195,8 @@ def _check_reproducibility(trials: int, n_max: int, seed: int) -> int:
     policy = RngPolicy(seed)
     x0 = np.linspace(0.0, 1.0, dist.n)
     for k in range(max(1, trials // 10)):
-        a = simulate_path(dist, x0, 20, policy.path_stream(k))
-        b = simulate_path(dist, x0, 20, policy.path_stream(k))
+        a = simulate_paths(dist, x0, 20, [policy.path_stream(k)])
+        b = simulate_paths(dist, x0, 20, [policy.path_stream(k)])
         if not np.array_equal(a.final_state, b.final_state):
             raise PropertyFailure(f"path {k} not reproducible from its stream")
     return max(1, trials // 10)

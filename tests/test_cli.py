@@ -492,6 +492,38 @@ def test_impossible_size_exits_2_with_one_line(doc, argv, named, tmp_path, capsy
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "doc, flags, named",
+    [
+        pytest.param(dict(GOSSIP_CONFIG, simulation={"paths": [0] * 20000}), [], "paths",
+                     id="paths_list"),
+        pytest.param(dict(GOSSIP_CONFIG, simulation={"x0": {"a": "b" * 50000}}), [], "x0",
+                     id="x0_object"),
+        pytest.param(_named_generator("pairwise_gossip", {"n": "9" * 30000}), [],
+                     "generator param 'n'", id="generator_n_digits"),
+        pytest.param(dict(GOSSIP_CONFIG, simulation={"eps": "x" * 30000}), [], "eps",
+                     id="eps_string"),
+        pytest.param({"distribution": {"type": "finite", "atoms": [
+            {"prob": "z" * 30000, "matrix": [[1.0, 0.0], [0.0, 1.0]]}]}}, [], "atom 0 prob",
+                     id="atom_prob_string"),
+        pytest.param(dict(GOSSIP_CONFIG, simulation={"q" * 30000: 1}), [],
+                     "unknown simulation field", id="unknown_key"),
+        pytest.param(_named_generator("g" * 30000, {}), [], "unknown generator",
+                     id="generator_name"),
+        pytest.param({"distribution": {"type": "t" * 30000}}, [], "unknown distribution type",
+                     id="distribution_type"),
+        pytest.param(GOSSIP_CONFIG, ["--x0", "y" * 30000], "--x0", id="x0_flag"),
+    ],
+)
+def test_over_long_input_is_echoed_short(doc, flags, named, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    assert err.startswith("config error: ") and named in err
+
+
 def test_eigen_failure_exits_3_with_a_short_line(tmp_path, monkeypatch, capsys):
     n = 64
     cfg = tmp_path / "dirac64.json"

@@ -18,15 +18,15 @@ from consensuslab import (
     estimate_modes,
     run_paths,
     shift_invariance_check,
-    simulate_path,
+    simulate_paths,
     validate_matrix,
     zero_one_probe,
 )
+import consensuslab
 from consensuslab import core, dynamics
 from consensuslab.core import MatrixValidationError, Sampler, registered_generators
 from consensuslab.dynamics import (
-    TrajectoryRecord,
-    simulate_paths,
+    Paths,
     paths_as_json,
     summarize_modes,
     write_aggregate_csv,
@@ -39,61 +39,63 @@ from conftest import random_stochastic
 class TestSimulatePath:
     def test_one_step_averaging(self):
         dist = MatrixDistribution.dirac(validate_matrix(np.full((3, 3), 1 / 3)))
-        rec = simulate_path(dist, np.array([1.0, 0.0, 0.0]), 3, np.random.default_rng(0))
-        assert np.allclose(rec.diameter, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
+        run = simulate_paths(dist, np.array([1.0, 0.0, 0.0]), 3, [np.random.default_rng(0)])
+        assert np.allclose(run.diameter[0], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_identity_keeps_diameter(self):
         dist = MatrixDistribution.dirac(validate_matrix(np.eye(4)))
         x0 = np.array([0.0, 1.0, 2.0, 5.0])
-        rec = simulate_path(dist, x0, 10, np.random.default_rng(0))
-        assert np.all(rec.diameter == 5.0)
+        run = simulate_paths(dist, x0, 10, [np.random.default_rng(0)])
+        assert np.all(run.diameter[0] == 5.0)
 
     def test_identity_swap_mixture_diameter_constant(self, identity_swap_mixture):
         # state is always a permutation of x0: both atoms permute coordinates
         for seed in range(5):
-            rec = simulate_path(
-                identity_swap_mixture, np.array([1.0, 0.0]), 40, np.random.default_rng(seed)
+            run = simulate_paths(
+                identity_swap_mixture, np.array([1.0, 0.0]), 40, [np.random.default_rng(seed)]
             )
-            assert np.all(rec.diameter == 1.0)
-            assert sorted(rec.final_state) == [0.0, 1.0]
+            assert np.all(run.diameter[0] == 1.0)
+            assert sorted(run.final_state[0]) == [0.0, 1.0]
 
     def test_diagnostics_at_every_step(self, gossip3):
-        rec = simulate_path(gossip3, np.array([1.0, 0.0, 0.0]), 25, np.random.default_rng(1))
-        assert rec.diameter.shape == (26,)
-        assert rec.disagreement_inf.shape == (26,)
-        assert rec.disagreement_l2.shape == (26,)
+        run = simulate_paths(gossip3, np.array([1.0, 0.0, 0.0]), 25, [np.random.default_rng(1)])
+        assert run.diameter.shape == (1, 26)
+        assert run.disagreement_inf.shape == (1, 26)
+        assert run.disagreement_l2.shape == (1, 26)
+        assert run.final_state.shape == (1, 3)
 
     def test_diameter_monotone_general_support(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 9))
             atoms = [(0.5, validate_matrix(random_stochastic(rng, n))) for _ in range(2)]
             dist = MatrixDistribution.finite(atoms)
-            rec = simulate_path(dist, rng.random(n), 40, rng)
-            assert np.all(np.diff(rec.diameter) <= 1e-12)
+            run = simulate_paths(dist, rng.random(n), 40, [rng])
+            assert np.all(np.diff(run.diameter[0]) <= 1e-12)
 
     def test_disagreement_monotone_for_doubly_stochastic_support(self, gossip3, rng):
         # doubly stochastic updates preserve the coordinate mean, so the
         # disagreement max-norm inherits the max-norm contraction
         for seed in range(20):
-            rec = simulate_path(gossip3, rng.random(3), 40, np.random.default_rng(seed))
-            assert np.all(np.diff(rec.disagreement_inf) <= 1e-12)
+            run = simulate_paths(gossip3, rng.random(3), 40, [np.random.default_rng(seed)])
+            assert np.all(np.diff(run.disagreement_inf[0]) <= 1e-12)
 
     def test_disagreement_can_grow_under_row_duplication(self):
         # row-duplicating update: mean shifts, deviation from it can rise
         a = validate_matrix([[1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]])
         dist = MatrixDistribution.dirac(a)
-        rec = simulate_path(dist, np.array([1.0, 1.0, -1.0, -1.0]), 1, np.random.default_rng(0))
-        assert rec.disagreement_inf[1] > rec.disagreement_inf[0]
-        assert rec.diameter[1] <= rec.diameter[0]
+        run = simulate_paths(dist, np.array([1.0, 1.0, -1.0, -1.0]), 1, [np.random.default_rng(0)])
+        dis_inf, diam = run.disagreement_inf[0], run.diameter[0]
+        assert dis_inf[1] > dis_inf[0]
+        assert diam[1] <= diam[0]
 
     def test_diameter_vs_disagreement_bounds(self, gossip3, rng):
-        rec = simulate_path(gossip3, rng.random(3), 50, rng)
-        assert np.all(rec.diameter <= 2 * rec.disagreement_inf + 1e-9)
-        assert np.all(rec.disagreement_inf <= rec.diameter + 1e-9)
+        run = simulate_paths(gossip3, rng.random(3), 50, [rng])
+        assert np.all(run.diameter <= 2 * run.disagreement_inf + 1e-9)
+        assert np.all(run.disagreement_inf <= run.diameter + 1e-9)
 
     def test_bad_horizon(self, gossip3):
         with pytest.raises(ValueError):
-            simulate_path(gossip3, np.zeros(3), 0, np.random.default_rng(0))
+            simulate_paths(gossip3, np.zeros(3), 0, [np.random.default_rng(0)])
 
 
 class TestEstimateModes:
@@ -144,35 +146,46 @@ def _per_stream_cases():
     }
 
 
+FIELDS = ("diameter", "disagreement_inf", "disagreement_l2", "final_state")
+
+
 @pytest.mark.parametrize("name", sorted(_per_stream_cases()))
 def test_run_paths_equals_one_path_per_stream(name):
-    # path k's record depends on its own stream only: no draw is shared
+    # row k of a run depends on its own stream only: no draw is shared
     # with, or reordered across, the other paths of the ensemble
     dist = _per_stream_cases()[name]
     x0 = np.linspace(-1.0, 2.0, dist.n)
     policy = RngPolicy(31)
-    records = run_paths(dist, x0, 6, 15, policy)
-    for k, rec in enumerate(records):
-        alone = simulate_path(dist, x0, 15, policy.path_stream(k), path_id=k)
-        assert rec.path_id == alone.path_id == k
-        for field in ("diameter", "disagreement_inf", "disagreement_l2", "final_state"):
-            assert np.array_equal(getattr(rec, field), getattr(alone, field)), (k, field)
+    run = run_paths(dist, x0, 6, 15, policy)
+    assert run.diameter.shape == (6, 16) and run.final_state.shape == (6, dist.n)
+    for k in range(6):
+        alone = simulate_paths(dist, x0, 15, [policy.path_stream(k)])
+        for field in FIELDS:
+            assert np.array_equal(getattr(run, field)[k], getattr(alone, field)[0]), (k, field)
 
 
 def test_final_states_are_frozen_rows_of_one_array():
     dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
     x0 = np.array([0.9, 0.2, 0.5])
-    records = run_paths(dist, x0, 4, 6, RngPolicy(8))
-    base = records[0].final_state.base
-    assert base is not None and base.size == 12
-    for rec in records:
-        assert rec.final_state.base is base and not rec.final_state.flags.writeable
-    start = records[0].final_state.ctypes.data
-    assert [rec.final_state.ctypes.data - start for rec in records] == [0, 24, 48, 72]
-    with pytest.raises(ValueError):
-        records[1].final_state[0] = 0.0
-    assert "x0" not in {f.name for f in dataclasses.fields(TrajectoryRecord)}
+    run = run_paths(dist, x0, 4, 6, RngPolicy(8))
+    # the three series: read-only views of the engine's one (3, paths, T+1) series
+    series = run.diameter.base
+    assert series is not None and series.shape == (3, 4, 7) and not series.flags.writeable
+    for k, field in enumerate(FIELDS[:3]):
+        view = getattr(run, field)
+        assert view.base is series and view.shape == (4, 7) and not view.flags.writeable
+        assert np.shares_memory(view, series[k]) and view.ctypes.data == series[k].ctypes.data
+    # the final states: one read-only (paths, n) array, rows 24 bytes apart
+    assert run.final_state.shape == (4, 3) and not run.final_state.flags.writeable
+    assert run.final_state.strides == (24, 8)
+    for field in FIELDS:
+        with pytest.raises(ValueError):
+            getattr(run, field)[1, 0] = 0.0
     assert x0.flags.writeable and x0.tolist() == [0.9, 0.2, 0.5]
+    assert [f.name for f in dataclasses.fields(Paths)] == list(FIELDS)
+    for gone in ("TrajectoryRecord", "simulate_path"):
+        assert not hasattr(consensuslab, gone) and gone not in consensuslab.__all__
+        assert not hasattr(dynamics, gone)
 
 
 def _reference_paths(dist, x0, horizon, rngs):
@@ -207,11 +220,12 @@ def _reference_paths(dist, x0, horizon, rngs):
     return out
 
 
-def _assert_records_equal(records, expected):
-    assert len(records) == len(expected)
-    for k, (rec, ref) in enumerate(zip(records, expected)):
+def _assert_rows_equal(run, expected):
+    """Row k of every array of ``run`` equals path k of the reference."""
+    assert len(run.diameter) == len(expected)
+    for k, ref in enumerate(expected):
         for field, want in ref.items():
-            assert np.array_equal(getattr(rec, field), want), (k, field)
+            assert np.array_equal(getattr(run, field)[k], want), (k, field)
 
 
 GAP_PROBS = (0.0, 0.4, 0.0, 0.6 - 5e-10, 0.0)  # zero-probability atoms, sum 1 - 5e-10
@@ -262,9 +276,9 @@ def test_run_paths_matches_scalar_reference(name, monkeypatch):
         assert len(core.block_slices(paths, dist.n)) > 1
     x0 = np.linspace(-1.0, 2.0, dist.n)
     policy = RngPolicy(17)
-    records = run_paths(dist, x0, paths, 12, policy)
+    run = run_paths(dist, x0, paths, 12, policy)
     expected = _reference_paths(dist, x0, 12, [policy.path_stream(k) for k in range(paths)])
-    _assert_records_equal(records, expected)
+    _assert_rows_equal(run, expected)
 
 
 @pytest.mark.parametrize("name", ["dirac", "finite_zero_prob_and_gap", "pairwise_gossip",
@@ -286,10 +300,10 @@ def test_diagnostics_in_chunks_match_scalar_reference(name, monkeypatch):
     monkeypatch.setattr(dynamics, "_diagnose", spy)
     x0 = np.linspace(-1.0, 2.0, dist.n)
     policy = RngPolicy(23)
-    records = run_paths(dist, x0, paths, 12, policy)
+    run = run_paths(dist, x0, paths, 12, policy)
     assert widths == [5, 5, 3]
     expected = _reference_paths(dist, x0, 12, [policy.path_stream(k) for k in range(paths)])
-    _assert_records_equal(records, expected)
+    _assert_rows_equal(run, expected)
 
 
 @pytest.mark.parametrize("name", ["identity", "dirac", "finite_n12", "pairwise_gossip"])
@@ -300,13 +314,12 @@ def test_signed_zero_state_gives_positive_zero_diameters(name):
         dist, paths, _ = _engine_cases()[name]
     x0 = np.where(np.arange(dist.n) % 3 == 1, -0.0, 0.0)
     policy = RngPolicy(2)
-    records = run_paths(dist, x0, paths, 12, policy)
-    _assert_records_equal(
-        records, _reference_paths(dist, x0, 12, [policy.path_stream(k) for k in range(paths)])
+    run = run_paths(dist, x0, paths, 12, policy)
+    _assert_rows_equal(
+        run, _reference_paths(dist, x0, 12, [policy.path_stream(k) for k in range(paths)])
     )
-    for rec in records:
-        for series in (rec.diameter, rec.disagreement_inf, rec.disagreement_l2):
-            assert np.all(series == 0.0) and not np.signbit(series).any()
+    for series in (run.diameter, run.disagreement_inf, run.disagreement_l2):
+        assert np.all(series == 0.0) and not np.signbit(series).any()
 
 
 def test_gossip_run_memory_stays_small():
@@ -333,7 +346,7 @@ def test_run_too_large_refused_before_any_stream_is_derived(monkeypatch):
         run_paths(dist, np.array([1.0, 0.0, 0.0]), 10**12, 50, RngPolicy(0))
 
 
-@pytest.mark.parametrize("entry", ["run_paths", "simulate_paths", "simulate_path"])
+@pytest.mark.parametrize("entry", ["run_paths", "simulate_paths", "simulate_paths_one_stream"])
 @pytest.mark.parametrize("x0, named", [
     ([np.nan, 0.0, 0.0], "x0[0] must be finite, got nan"),
     ([0.0, 0.0, -np.inf], "x0[2] must be finite, got -inf"),
@@ -349,8 +362,8 @@ def test_engine_applies_the_x0_rule_first(entry, x0, named, monkeypatch):
     dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
     calls = {
         "run_paths": lambda: run_paths(dist, np.array(x0), 2, 5, RngPolicy(0)),
-        "simulate_paths": lambda: simulate_paths(dist, np.array(x0), 5, rngs, range(2)),
-        "simulate_path": lambda: simulate_path(dist, np.array(x0), 5, rngs[0]),
+        "simulate_paths": lambda: simulate_paths(dist, np.array(x0), 5, rngs),
+        "simulate_paths_one_stream": lambda: simulate_paths(dist, np.array(x0), 5, rngs[:1]),
     }
     with pytest.raises(ConfigError, match=re.escape(named)):
         calls[entry]()
@@ -358,12 +371,12 @@ def test_engine_applies_the_x0_rule_first(entry, x0, named, monkeypatch):
 
 def test_overflowing_curve_is_a_numerical_error_without_a_warning():
     dist = MatrixDistribution.dirac(validate_matrix(np.eye(2)))
-    records = run_paths(dist, np.array([0.0, 2.0]), 3, 4, RngPolicy(0))
+    diameter = run_paths(dist, np.array([0.0, 2.0]), 3, 4, RngPolicy(0)).diameter
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=re.escape("lp_curve is not finite at t=0")):
-            summarize_modes(records, 1e-3, 2000.0)
-        report = summarize_modes(records, 1e200, 2.0)  # eps**p overflows to inf
+            summarize_modes(diameter, 1e-3, 2000.0)
+        report = summarize_modes(diameter, 1e200, 2.0)  # eps**p overflows to inf
     assert report.lp_converged and np.array_equal(report.lp_curve, [4.0] * 5)
 
 
@@ -393,8 +406,8 @@ def test_engine_pick_rule_on_boundaries_and_in_gap():
     dist = _engine_cases()["finite_zero_prob_and_gap"][0]
     x0 = np.linspace(-1.0, 2.0, dist.n)
     scripts = [uniforms, uniforms[::-1], uniforms[2:] + uniforms[:2]]
-    records = simulate_paths(dist, x0, 6, [_Uniforms(u) for u in scripts], range(3))
-    _assert_records_equal(records, _reference_paths(dist, x0, 6, [_Uniforms(u) for u in scripts]))
+    run = simulate_paths(dist, x0, 6, [_Uniforms(u) for u in scripts])
+    _assert_rows_equal(run, _reference_paths(dist, x0, 6, [_Uniforms(u) for u in scripts]))
 
 
 def _patch_gossip(monkeypatch, faults):
@@ -535,14 +548,19 @@ class TestNormIdentityRemark:
         assert linf_of_mean == 0.5
 
 
+def _series_only(*series):
+    """A ``Paths`` of the three (paths, steps) series alone, as the CSV writer reads it."""
+    return Paths(*(np.array(a, dtype=float) for a in series), final_state=None)
+
+
 class TestEmission:
-    def _records(self):
+    def _run(self):
         dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
         return run_paths(dist, np.array([1.0, 0.0, 0.0]), 4, 6, RngPolicy(0))
 
     def test_path_csv_layout(self):
         buf = io.StringIO()
-        write_path_csv(self._records(), buf)
+        write_path_csv(self._run(), buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "path,t,diameter,disagreement_inf,disagreement_l2"
         assert len(lines) == 1 + 4 * 7
@@ -551,34 +569,34 @@ class TestEmission:
 
     def test_aggregate_csv_layout(self):
         buf = io.StringIO()
-        write_aggregate_csv(summarize_modes(self._records(), 1e-3, 1.0), buf)
+        write_aggregate_csv(summarize_modes(self._run().diameter, 1e-3, 1.0), buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "t,mean_diameter,p_exceed_eps,max_diameter,lp_mean"
         assert len(lines) == 1 + 7
 
     @staticmethod
-    def _path_csv_reference(records):
+    def _path_csv_reference(run):
         ref = io.StringIO()
         writer = csv.writer(ref, lineterminator="\n")
         writer.writerow(("path", "t", "diameter", "disagreement_inf", "disagreement_l2"))
-        for rec in records:
-            for t, row in enumerate(zip(rec.diameter, rec.disagreement_inf, rec.disagreement_l2)):
-                writer.writerow((rec.path_id, t, *(format(v, ".17g") for v in row)))
+        for k in range(len(run.diameter)):
+            rows = zip(run.diameter[k], run.disagreement_inf[k], run.disagreement_l2[k])
+            for t, row in enumerate(rows):
+                writer.writerow((k, t, *(format(v, ".17g") for v in row)))
         return ref.getvalue()
 
     def test_csv_bytes_match_csv_module_reference(self):
         special = np.array([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 0.1, 1 / 3])
-        rec = TrajectoryRecord(7, special, special[::-1].copy(), special * 3, special)
+        run = _series_only([special], [special[::-1]], [special * 3])
         buf = io.StringIO()
-        write_path_csv([rec], buf)
-        assert buf.getvalue() == self._path_csv_reference([rec])
+        write_path_csv(run, buf)
+        assert buf.getvalue() == self._path_csv_reference(run)
         fields = set(buf.getvalue().replace("\n", ",").split(","))
         assert {"-0", "4.9406564584124654e-324", "inf", "-inf", "nan"} <= fields
-        records = self._records()
+        diam = self._run().diameter
         buf = io.StringIO()
-        report = summarize_modes(records, 1e-3, 1.0)
+        report = summarize_modes(diam, 1e-3, 1.0)
         write_aggregate_csv(report, buf)
-        diam = np.stack([r.diameter for r in records])
         ref = io.StringIO()
         writer = csv.writer(ref, lineterminator="\n")
         writer.writerow(("t", "mean_diameter", "p_exceed_eps", "max_diameter", "lp_mean"))
@@ -588,45 +606,48 @@ class TestEmission:
         assert buf.getvalue() == ref.getvalue()
 
     @staticmethod
-    def _record_sets():
-        # 60 paths of 301 steps: 18 a chunk, so 4 chunks, with exact-consensus
-        # zero tails; path ids not consecutive
+    def _runs():
+        # 60 paths of 301 steps: 18 a chunk, so 4 chunks, with exact-consensus zero tails
         dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
-        policy = RngPolicy(9)
-        chunked = simulate_paths(dist, np.array([0.9, 0.2, 0.5]), 300, policy.path_streams(60),
-                                 [7 * k + 3 for k in range(60)])
+        chunked = simulate_paths(dist, np.array([0.9, 0.2, 0.5]), 300,
+                                 RngPolicy(9).path_streams(60))
         # one chunk holding both zeros, nan (two payloads and a sign), inf and the least subnormal
         nans = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(float)
         special = np.array([0.0, -0.0, np.nan, *nans, np.inf, -np.inf, 5e-324, -5e-324, 1 / 3])
-        specials = [TrajectoryRecord(k, np.roll(special, k), special[::-1].copy(),
-                                     special * (k + 1), special) for k in (4, 2, 11)]
-        def ragged(*lengths):
-            return [TrajectoryRecord(k, *(np.linspace(0, 1, steps) ** (j + 1) for j in range(3)),
-                                     None) for k, steps in enumerate(lengths)]
+        shifts = (4, 2, 11)
+        specials = _series_only([np.roll(special, k) for k in shifts], [special[::-1]] * 3,
+                                [special * (k + 1) for k in shifts])
+        # 18,000 values a path: one path a chunk, each over core.BLOCK_BYTES / 32
+        steps = np.linspace(0, 1, 6000)
+        longer = _series_only(*([steps ** (j + 1) + k for k in range(3)] for j in range(3)))
+        return {"chunked": chunked, "specials": specials, "longer_than_a_chunk": longer,
+                "no_steps": _series_only(np.empty((2, 0)), np.empty((2, 0)), np.empty((2, 0))),
+                "empty": _series_only(np.empty((0, 7)), np.empty((0, 7)), np.empty((0, 7)))}
 
-        return {"chunked": chunked, "specials": specials, "ragged": ragged(5, 1, 400, 0, 2, 40),
-                "longer_than_a_chunk": ragged(3, 6000, 2), "no_steps": ragged(0, 0), "empty": []}
-
-    @pytest.mark.parametrize("name", ["chunked", "specials", "ragged", "longer_than_a_chunk",
-                                      "no_steps", "empty"])
+    @pytest.mark.parametrize("name", ["chunked", "specials", "longer_than_a_chunk", "no_steps",
+                                      "empty"])
     def test_path_csv_matches_reference(self, name):
-        records = self._record_sets()[name]
+        run = self._runs()[name]
         if name == "chunked":
             per_chunk = core.BLOCK_BYTES // (32 * 8 * 3 * 301)
-            assert len(records) > 2 * per_chunk
-            assert (np.stack([r.diameter for r in records])[:, -1] == 0.0).mean() > 0.5
+            assert len(run.diameter) > 2 * per_chunk
+            assert (run.diameter[:, -1] == 0.0).mean() > 0.5
+        if name == "longer_than_a_chunk":
+            assert 3 * run.diameter.shape[1] * 8 > core.BLOCK_BYTES // 32
         buf = io.StringIO()
-        write_path_csv(records, buf)
-        assert buf.getvalue() == self._path_csv_reference(records)
+        write_path_csv(run, buf)
+        assert buf.getvalue() == self._path_csv_reference(run)
         if name == "empty":
             assert buf.getvalue() == "path,t,diameter,disagreement_inf,disagreement_l2\n"
 
     def test_json_payload(self):
-        payload = paths_as_json(self._records())
+        run = self._run()
+        payload = paths_as_json(run)
         assert len(payload) == 4
-        assert set(payload[0]) == {
-            "path", "diameter", "disagreement_inf", "disagreement_l2", "final_state",
-        }
+        assert list(payload[2]) == ["path", *FIELDS]
+        assert payload[2]["path"] == 2
+        for field in FIELDS:
+            assert payload[2][field] == getattr(run, field)[2].tolist()
 
     @pytest.mark.parametrize("entry, bad, named", [
         pytest.param(entry, {name: value}, named, id=f"{entry}-{name}_{value}")
@@ -646,17 +667,17 @@ class TestEmission:
         dist = MatrixDistribution.generator("pairwise_gossip", {"n": 3})
         x0, policy = np.array([1.0, 0.0, 0.0]), RngPolicy(0)
         args = dict(dict(paths=4, horizon=6, eps=1e-3, p=1.0), **bad)
-        records = self._records()
+        diameter = self._run().diameter
         simulated = []
         real_run_paths = dynamics.run_paths
         monkeypatch.setattr(dynamics, "run_paths",
                             lambda *a: simulated.append(a) or real_run_paths(*a))
         calls = {
-            "summarize_modes": lambda: summarize_modes(records, args["eps"], args["p"]),
+            "summarize_modes": lambda: summarize_modes(diameter, args["eps"], args["p"]),
             "estimate_modes": lambda: estimate_modes(dist, x0, policy=policy, **args),
             "run_paths": lambda: run_paths(dist, x0, args["paths"], args["horizon"], policy),
             "simulate_paths": lambda: simulate_paths(
-                dist, x0, args["horizon"], policy.path_streams(4), range(4)),
+                dist, x0, args["horizon"], policy.path_streams(4)),
         }
         with pytest.raises(ValueError, match=re.escape(named)):
             calls[entry]()
