@@ -22,11 +22,11 @@ identity-vs-swap mixture is the canonical case) and must be surfaced.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import MatrixDistribution, Moments, RngPolicy, moments, validate_matrix
+from .core import MatrixDistribution, Moments, RngPolicy, moments, resolve_x0, validate_matrix
 from .dynamics import ModeReport, estimate_modes
 from .spectral import (
     MAX_EIGEN_DIM,
@@ -171,6 +171,29 @@ def discrepancy_note(verdict: ConsensusVerdict, modes: ModeReport) -> Optional[s
     return None
 
 
+def _verdict_and_modes(
+    dist: MatrixDistribution,
+    x0: Union[str, Sequence[float], np.ndarray],
+    paths: int,
+    horizon: int,
+    eps: float,
+    p: float,
+    policy: RngPolicy,
+) -> tuple[ConsensusVerdict, ModeReport]:
+    """The spectral verdict and :func:`estimate_modes`, their contradiction noted on the verdict.
+
+    The verdict comes first, so a dimension it refuses is refused before
+    ``x0`` is drawn or a path simulated.  An ``x0`` given as a str is a
+    config's spec, resolved by :func:`core.resolve_x0` from ``policy``.
+    """
+    verdict = random_verdict(dist)
+    if isinstance(x0, str):
+        x0 = resolve_x0(x0, dist.n, policy)
+    modes = estimate_modes(dist, x0, paths, horizon, eps, p, policy)
+    verdict.discrepancy = discrepancy_note(verdict, modes)
+    return verdict, modes
+
+
 def cross_validate(
     dist: MatrixDistribution,
     x0: np.ndarray,
@@ -181,8 +204,5 @@ def cross_validate(
     p: float = 1.0,
 ) -> ConsensusVerdict:
     """Run the spectral verdict and the simulation; report both sides verbatim."""
-    verdict = random_verdict(dist)
-    modes = estimate_modes(dist, x0, paths, horizon, eps, p, policy)
-    verdict.discrepancy = discrepancy_note(verdict, modes)
-    return verdict
+    return _verdict_and_modes(dist, x0, paths, horizon, eps, p, policy)[0]
 

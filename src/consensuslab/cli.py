@@ -17,7 +17,7 @@ from dataclasses import asdict, fields, replace
 from typing import Optional
 
 from . import __version__
-from .analysis import discrepancy_note, random_verdict, second_moment_note
+from .analysis import _verdict_and_modes, random_verdict, second_moment_note
 from .core import (
     ConfigError,
     MatrixDistribution,
@@ -29,7 +29,6 @@ from .core import (
     resolve_x0,
 )
 from .dynamics import (
-    estimate_modes,
     run_paths,
     summarize_modes,
     paths_as_json,
@@ -143,11 +142,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_modes(args: argparse.Namespace) -> int:
     dist, params, policy, manifest = _run_input(args)
-    # as in analysis.cross_validate: the verdict refuses a dimension before x0 or any simulation
-    verdict = random_verdict(dist)
-    x0 = resolve_x0(params.x0, dist.n, policy)
-    report = estimate_modes(dist, x0, params.paths, params.horizon, params.eps, params.p, policy)
-    verdict.discrepancy = discrepancy_note(verdict, report)
+    verdict, report = _verdict_and_modes(dist, params.x0, params.paths, params.horizon,
+                                         params.eps, params.p, policy)
     doc = report.to_dict()
     doc["verdict"] = verdict.to_dict()
     _emit(doc, args, manifest)

@@ -482,6 +482,12 @@ class MatrixDistribution:
         def pick(rng: np.random.Generator) -> int:
             return int(pick_atoms(probs, rng.random()))
 
+        def picks(rngs: Sequence[np.random.Generator], count: int) -> np.ndarray:
+            u = np.empty((len(rngs), count))
+            for k, rng in enumerate(rngs):  # filled in place: no second (paths, count) copy
+                rng.random(out=u[k])
+            return pick_atoms(probs, u)
+
         sampler = Sampler(
             moments=lambda: Moments(
                 sum(p * m.entries for p, m in atoms),
@@ -489,7 +495,7 @@ class MatrixDistribution:
                 all(m.has_positive_diagonal() for p, m in atoms if p > 0),
             ),
             draw=lambda rng: stack[pick(rng)],
-            picks=lambda rngs, count: pick_atoms(probs, np.stack([r.random(count) for r in rngs])),
+            picks=picks,
             from_picks=lambda k, out: stack[k],
             atoms=atoms,
             pick=pick,
@@ -846,7 +852,8 @@ def distribution_from_config(doc: dict) -> MatrixDistribution:
     else:
         raise ConfigError(f"unknown distribution type {echo(kind)}")
     if "n" in doc and checked_number(int, "config field n", doc["n"]) != dist.n:
-        raise ConfigError(f"config field n={doc['n']} disagrees with distribution dimension {dist.n}")
+        raise ConfigError(
+            f"config field n={echo(doc['n'])} disagrees with distribution dimension {dist.n}")
     return dist
 
 

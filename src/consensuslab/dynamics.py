@@ -2,11 +2,13 @@
 
 Mode classification is driven by the diameter (largest pairwise coordinate
 difference) because the three convergence modes are defined through pairwise
-differences; the projection norms are recorded alongside for the
-consensus-vs-stability equivalence checks.  The diameter is nonincreasing
-along every path (each update takes convex combinations of coordinates),
-which makes terminal values per-path infima and the estimators below
-consistent for the definitional limits.
+differences.  The engine computes only the series its caller reads: the
+mode estimators ask for the diameter alone, and :func:`run_paths` and
+:func:`simulate_paths` also compute the two disagreement norms (projection
+onto the complement of the consensus direction) that ``simulate`` emits.
+The diameter is nonincreasing along every path (each update takes convex
+combinations of coordinates), which makes terminal values per-path infima
+and the estimators below consistent for the definitional limits.
 """
 from __future__ import annotations
 
@@ -111,12 +113,16 @@ def simulate_paths(
     non-finite value raises too.
     """
     x0 = checked_state(x0, dist.n)
-    return _simulate(dist, x0, _new_series(len(rngs), horizon), rngs)
+    series = _new_series(len(rngs), horizon, rows=3)
+    return Paths(*series, final_state=_simulate(dist, x0, series, rngs))
 
 
-def _new_series(paths: int, horizon: int) -> np.ndarray:
-    """The (3, paths, horizon + 1) diagnostic series: diameter and both disagreement norms."""
-    return allocated(np.empty, (3, paths, checked_param("horizon", horizon) + 1))
+def _new_series(paths: int, horizon: int, rows: int) -> np.ndarray:
+    """The (rows, paths, horizon + 1) diagnostic series: the diameter, then both disagreement norms.
+
+    With ``rows`` 1 the engine computes the diameter alone.
+    """
+    return allocated(np.empty, (rows, paths, checked_param("horizon", horizon) + 1))
 
 
 def _simulate(
@@ -124,14 +130,14 @@ def _simulate(
     x0: np.ndarray,
     series: np.ndarray,
     rngs: Sequence[np.random.Generator],
-) -> Paths:
-    """:func:`simulate_paths` from a checked ``x0``, filling ``series``."""
+) -> np.ndarray:
+    """:func:`simulate_paths` from a checked ``x0``, filling ``series``; the final states."""
     x = np.tile(x0, (series.shape[1], 1))
     _iterate(dist, x, rngs, series)
     _check_series(series)
     series.setflags(write=False)
     x.setflags(write=False)
-    return Paths(*series, final_state=x)
+    return x
 
 
 def _iterate(
@@ -166,16 +172,19 @@ def _iterate(
 
 
 def _diagnose(states: np.ndarray, out: np.ndarray) -> None:
-    """Diameter and disagreement norms of a chunk of steps, into ``out`` (3, paths, span).
+    """The diameter, and the disagreement norms if ``out`` has their rows, of a chunk of steps.
 
     ``states`` is (paths, n, span), time-innermost: max, min, abs and the
     subtraction are exact, so they run there, each elementwise over n rows.
-    The mean and the dot run on one path-major copy, contiguous in n, with
-    the bits of one state at a time.
+    ``out`` is (1, paths, span) for the diameter alone, else (3, paths, span).
+    The norms' mean and dot run on one path-major copy, contiguous in n,
+    with the bits of one state at a time.
     """
+    out[0] = states.max(axis=1) - states.min(axis=1)
+    if len(out) == 1:
+        return
     d = states.transpose(0, 2, 1).copy()
     mean = d.mean(axis=2)
-    out[0] = states.max(axis=1) - states.min(axis=1)
     out[1] = np.abs(states - mean[:, None, :]).max(axis=1)
     d -= mean[:, :, None]
     # vecdot is the BLAS dot np.linalg.norm uses on one vector
@@ -183,11 +192,16 @@ def _diagnose(states: np.ndarray, out: np.ndarray) -> None:
 
 
 def _check_series(series: np.ndarray) -> None:
-    """Raise on the first failing t of the first failing path."""
-    diam, dis_inf, _ = series
+    """Raise on the first failing t of the first failing path.
+
+    The diameter is checked for finiteness and monotone decrease, and the
+    disagreement max-norm, where the series has it, against the diameter.
+    """
+    diam = series[0]
     ok = np.isfinite(series).all(axis=0)
     ok[:, 1:] &= diam[:, 1:] <= diam[:, :-1] + MONOTONICITY_SLACK
-    ok[:, 1:] &= dis_inf[:, 1:] <= diam[:, 1:] + 1e-9
+    if len(series) > 1:
+        ok[:, 1:] &= series[1, :, 1:] <= diam[:, 1:] + 1e-9
     if ok.all():
         return
     k, t = np.unravel_index(np.argmin(ok), ok.shape)
@@ -212,13 +226,26 @@ def run_paths(
     Stream k depends only on (master_seed, k), so the results are fixed by
     the seed.
     """
+    series, final_state = _run(dist, x0, paths, horizon, policy, rows=3)
+    return Paths(*series, final_state=final_state)
+
+
+def _run(
+    dist: MatrixDistribution,
+    x0: np.ndarray,
+    paths: int,
+    horizon: int,
+    policy: RngPolicy,
+    rows: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`run_paths`'s (rows, paths, horizon + 1) series and its final states."""
     paths = checked_param("paths", paths)
     x0 = checked_state(x0, dist.n)
     # allocated first: a run too large for memory fails here, not after
     # deriving one stream per path
-    series = _new_series(paths, horizon)
+    series = _new_series(paths, horizon, rows)
     rngs = policy.path_streams(paths)
-    return _simulate(dist, x0, series, rngs)
+    return series, _simulate(dist, x0, series, rngs)
 
 
 def summarize_modes(diameter: np.ndarray, eps: float, p: float) -> ModeReport:
@@ -259,9 +286,14 @@ def estimate_modes(
     p: float,
     policy: RngPolicy,
 ) -> ModeReport:
-    """:func:`summarize_modes` of :func:`run_paths`; eps and p are checked before simulating."""
+    """:func:`summarize_modes` of :func:`run_paths`'s diameter; eps and p are checked first.
+
+    The run computes the diameter alone: the disagreement norms are never
+    computed, and the diameter's bits are those of :func:`run_paths`.
+    """
     eps, p = checked_param("eps", eps), checked_param("p", p)
-    return summarize_modes(run_paths(dist, x0, paths, horizon, policy).diameter, eps, p)
+    series, _ = _run(dist, x0, paths, horizon, policy, rows=1)
+    return summarize_modes(series[0], eps, p)
 
 
 def zero_one_probe(
@@ -287,11 +319,12 @@ def shift_invariance_check(
 
     Both runs reuse the same matrix draws: path stream 0 of ``seed``.
     """
-    x0 = np.asarray(x0, dtype=float)
-    policy = RngPolicy(seed)
-    base = simulate_paths(dist, x0, horizon, [policy.path_stream(0)])
-    shifted = simulate_paths(dist, x0 + c, horizon, [policy.path_stream(0)])
-    return bool(np.max(np.abs(base.diameter - shifted.diameter)) <= 1e-10)
+    x0, policy = np.asarray(x0, dtype=float), RngPolicy(seed)
+
+    def diameter(start: np.ndarray) -> np.ndarray:
+        return _run(dist, start, 1, horizon, policy, rows=1)[0][0, 0]
+
+    return bool(np.max(np.abs(diameter(x0) - diameter(x0 + c))) <= 1e-10)
 
 
 # --- emission --------------------------------------------------------------
@@ -302,11 +335,15 @@ def _formatted(values: np.ndarray) -> np.ndarray:
 
     Keyed by bits, so -0.0 and 0.0 stay apart; returns an object array of str.
     """
-    keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    bits = values.view(np.uint64)
+    # np.unique(bits, return_inverse=True) from one sort: each sorted run keeps its first entry
+    ordered = np.sort(bits)
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))[: len(ordered)]
+    keys = ordered[first]
+    inverse = np.searchsorted(keys, bits)
     # %.17g formats as format(v, ".17g") does, signed zero, inf and nan included
     text = (("%.17g\n" * len(keys)) % tuple(keys.view(np.float64).tolist())).split("\n")
-    # reshaped: the inverse's shape for axis=None changed across NumPy 2.0.x
-    return np.array(text[:-1], dtype=object)[inverse.reshape(values.shape)]
+    return np.array(text[:-1], dtype=object)[inverse]
 
 
 def _write_rows(fh: IO[str], leads: Sequence[str], columns: Sequence[np.ndarray]) -> None:

@@ -13,6 +13,35 @@ def random_stochastic_matrix(rng, n):
     return validate_matrix(random_stochastic(rng, n))
 
 
+def finite_battery(seed=2718, count=20):
+    """Finite-support distributions with strictly positive diagonals, n from 2 to 6.
+
+    Mix of dense contracting instances and block-diagonal ones that cannot
+    reach consensus across the blocks.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        n = int(rng.integers(2, 7))
+        atoms = []
+        n_atoms = int(rng.integers(2, 4))
+        probs = rng.dirichlet(np.ones(n_atoms))
+        if k % 3 == 2 and n >= 4:
+            # shared block partition: no mixing across the split
+            split = n // 2
+            for p in probs:
+                m = np.zeros((n, n))
+                m[:split, :split] = 0.2 * np.eye(split) + 0.8 * random_stochastic(rng, split)
+                m[split:, split:] = 0.2 * np.eye(n - split) + 0.8 * random_stochastic(rng, n - split)
+                atoms.append((float(p), validate_matrix(m)))
+        else:
+            for p in probs:
+                m = 0.2 * np.eye(n) + 0.8 * random_stochastic(rng, n)
+                atoms.append((float(p), validate_matrix(m)))
+        out.append(MatrixDistribution.finite(atoms))
+    return out
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -21,7 +21,7 @@ from consensuslab import (
 from consensuslab.cli import main
 from consensuslab.core import companion_block
 
-from conftest import random_stochastic
+from conftest import finite_battery, random_stochastic
 
 
 def _run(num, name, fn):
@@ -32,35 +32,6 @@ def _run(num, name, fn):
         print(f"ACCEPTANCE {num:2d} [{name}]: FAIL")
         raise
     print(f"ACCEPTANCE {num:2d} [{name}]: PASS ({time.perf_counter() - start:.2f}s)")
-
-
-def _battery(seed=2718, count=20):
-    """Finite-support distributions with strictly positive diagonals.
-
-    Mix of dense contracting instances and block-diagonal ones that cannot
-    reach consensus across the blocks.
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for k in range(count):
-        n = int(rng.integers(2, 7))
-        atoms = []
-        n_atoms = int(rng.integers(2, 4))
-        probs = rng.dirichlet(np.ones(n_atoms))
-        if k % 3 == 2 and n >= 4:
-            # shared block partition: no mixing across the split
-            split = n // 2
-            for p in probs:
-                m = np.zeros((n, n))
-                m[:split, :split] = 0.2 * np.eye(split) + 0.8 * random_stochastic(rng, split)
-                m[split:, split:] = 0.2 * np.eye(n - split) + 0.8 * random_stochastic(rng, n - split)
-                atoms.append((float(p), validate_matrix(m)))
-        else:
-            for p in probs:
-                m = 0.2 * np.eye(n) + 0.8 * random_stochastic(rng, n)
-                atoms.append((float(p), validate_matrix(m)))
-        out.append(MatrixDistribution.finite(atoms))
-    return out
 
 
 def _battery_modes(dist, seed):
@@ -158,7 +129,7 @@ def test_criterion_4_gossip_benchmark():
 
 def test_criterion_5_mode_equivalence_battery():
     def check():
-        for i, dist in enumerate(_battery()):
+        for i, dist in enumerate(finite_battery()):
             report = _battery_modes(dist, 500 + i)
             assert report.all_agree, f"instance {i} modes disagree"
 
@@ -167,7 +138,7 @@ def test_criterion_5_mode_equivalence_battery():
 
 def test_criterion_6_necessity_direction():
     def check():
-        for i, dist in enumerate(_battery()):
+        for i, dist in enumerate(finite_battery()):
             report = _battery_modes(dist, 500 + i)
             if report.as_converged and report.as_fraction == 1.0:
                 lam2 = second_eigenvalue_modulus(validate_matrix(moments(dist).mean))

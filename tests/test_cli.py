@@ -513,6 +513,8 @@ def test_impossible_size_exits_2_with_one_line(doc, argv, named, tmp_path, capsy
         pytest.param({"distribution": {"type": "t" * 30000}}, [], "unknown distribution type",
                      id="distribution_type"),
         pytest.param(GOSSIP_CONFIG, ["--x0", "y" * 30000], "--x0", id="x0_flag"),
+        pytest.param(dict(GOSSIP_CONFIG, n="9" * 4000), [], "config field n",
+                     id="top_level_n_digits"),
     ],
 )
 def test_over_long_input_is_echoed_short(doc, flags, named, tmp_path, capsys):
@@ -569,6 +571,24 @@ def test_overflowing_lp_curve_exits_3_and_writes_nothing(argv, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "numerical failure: lp_curve is not finite at t=0 (p=2000.0)\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_overflowing_norm_fails_only_the_command_that_writes_it(tmp_path, capsys):
+    # x0 (1e200, 0, 0): the diameter is 1e200, but disagreement_l2 overflows;
+    # modes computes the diameter alone, simulate writes the norms
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(GOSSIP_CONFIG, simulation={"x0": [1e200, 0, 0], "paths": 4,
+                                                              "horizon": 5})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["modes", "--config", str(cfg)]) == 0
+        assert _strict_loads(capsys.readouterr().out)["lp_curve"][0] == 1e200
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: non-finite diameter or disagreement norm "
+                            "at t=0 on path 0\n")
     assert not out.exists() or not any(out.iterdir())
 
 

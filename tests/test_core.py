@@ -341,6 +341,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="disagrees"):
             load_config(text)
 
+    @pytest.mark.parametrize("n, shown", [(3, "3"), (3.0, "3.0"), ("3", "'3'")])
+    def test_n_mismatch_echoes_the_config_value(self, n, shown):
+        with pytest.raises(ConfigError) as exc:
+            load_config({"n": n, "distribution": {"type": "dirac", "matrix": [[1.0]]}})
+        assert str(exc.value) == f"config field n={shown} disagrees with distribution dimension 1"
+
     def test_simulation_block(self):
         text = json.dumps({
             "distribution": {"type": "dirac", "matrix": [[1.0]]},
@@ -438,6 +444,22 @@ def test_atom_sample_matches_picks_route(probs):
     assert sample_rng.bit_generator.state == picks_rng.bit_generator.state
     if probs is not None and len(probs) > 1:
         assert len({id(m) for m in sampled}) == sum(p > 0 for p in probs)
+
+
+@pytest.mark.parametrize("count", [0, 1, 37])
+def test_finite_picks_equal_stacked_per_stream_draws(count):
+    # filled in place, one stream at a time: the picks and the end stream
+    # states of one np.stack over per-stream draws
+    probs = (0.1, 0.0, 0.9 - 5e-10)
+    mats = [random_stochastic_matrix(np.random.default_rng(k), 3) for k in range(3)]
+    dist = MatrixDistribution.finite(list(zip(probs, mats)))
+    filled = [np.random.default_rng(s) for s in range(5)]
+    stacked = [np.random.default_rng(s) for s in range(5)]
+    got = dist.sampler.picks(filled, count)
+    want = pick_atoms(probs, np.stack([rng.random(count) for rng in stacked]))
+    assert got.shape == (5, count) and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert [r.bit_generator.state for r in filled] == [r.bit_generator.state for r in stacked]
 
 
 def test_gossip_pair_tables_wait_for_the_first_draw():

@@ -15,6 +15,7 @@ from consensuslab import (
     NumericalError,
     lift_second_order,
     RngPolicy,
+    cross_validate,
     estimate_modes,
     run_paths,
     shift_invariance_check,
@@ -33,7 +34,7 @@ from consensuslab.dynamics import (
     write_path_csv,
 )
 
-from conftest import random_stochastic
+from conftest import finite_battery, random_stochastic
 
 
 class TestSimulatePath:
@@ -380,10 +381,74 @@ def test_overflowing_curve_is_a_numerical_error_without_a_warning():
     assert report.lp_converged and np.array_equal(report.lp_curve, [4.0] * 5)
 
 
-def test_increasing_diameter_is_a_numerical_error(identity_swap_mixture, doubled_draws):
+@pytest.mark.parametrize("entry", ["run_paths", "estimate_modes", "cross_validate"])
+def test_increasing_diameter_is_a_numerical_error(entry, identity_swap_mixture, doubled_draws):
+    # estimate_modes and cross_validate compute the diameter alone: it is still checked
+    dist, x0, policy = identity_swap_mixture, np.array([0.0, 0.5]), RngPolicy(0)
+    calls = {
+        "run_paths": lambda: run_paths(dist, x0, 3, 4, policy),
+        "estimate_modes": lambda: estimate_modes(dist, x0, 3, 4, 1e-3, 1.0, policy),
+        "cross_validate": lambda: cross_validate(dist, x0, 3, 4, 1e-3, policy),
+    }
     with pytest.raises(NumericalError) as exc:
-        run_paths(identity_swap_mixture, np.array([0.0, 0.5]), 3, 4, RngPolicy(0))
+        calls[entry]()
     assert str(exc.value) == "diameter increased at t=1 on path 0: 0.5 -> 1.0"
+
+
+def _diagnosed_rows(monkeypatch):
+    """The (rows, paths, width) of every chunk the engine diagnoses from now on, in order."""
+    shapes = []
+    diagnose = dynamics._diagnose
+
+    def spy(states, out):
+        shapes.append(out.shape)
+        diagnose(states, out)
+
+    monkeypatch.setattr(dynamics, "_diagnose", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("entry, rows", [
+    ("estimate_modes", 1), ("cross_validate", 1), ("zero_one_probe", 1),
+    ("shift_invariance_check", 1), ("run_paths", 3), ("simulate_paths", 3),
+])
+def test_mode_estimators_compute_the_diameter_alone(entry, rows, gossip3, monkeypatch):
+    # one row is the diameter: no disagreement norm, and no path-major copy for them
+    shapes = _diagnosed_rows(monkeypatch)
+    x0, policy = np.array([1.0, 0.0, 0.0]), RngPolicy(4)
+    calls = {
+        "estimate_modes": lambda: estimate_modes(gossip3, x0, 7, 30, 1e-3, 1.0, policy),
+        "cross_validate": lambda: cross_validate(gossip3, x0, 7, 30, 1e-3, policy),
+        "zero_one_probe": lambda: zero_one_probe(gossip3, x0, 7, 30, 1e-3, policy),
+        "shift_invariance_check": lambda: shift_invariance_check(gossip3, x0, 5.0, 30, seed=4),
+        "run_paths": lambda: run_paths(gossip3, x0, 7, 30, policy),
+        "simulate_paths": lambda: simulate_paths(gossip3, x0, 30, policy.path_streams(7)),
+    }
+    calls[entry]()
+    assert shapes and {shape[0] for shape in shapes} == {rows}
+
+
+@pytest.mark.parametrize("paths", [200, 1])
+def test_estimate_modes_equals_summary_of_the_full_run(paths, monkeypatch):
+    # the acceptance battery at 200 steps: at 200 paths its diagnostic chunks
+    # span 40, 27, 20, 16 or 13 steps for n = 2..6, so the last one is shorter
+    battery = finite_battery()
+    assert {dist.n for dist in battery} == set(range(2, 7))
+    shapes = _diagnosed_rows(monkeypatch)
+    for i, dist in enumerate(battery):
+        policy = RngPolicy(500 + i)
+        x0 = policy.x0_stream().random(dist.n)
+        shapes.clear()
+        report = estimate_modes(dist, x0, paths, 200, 1e-3, 1.0, policy)
+        widths = [shape[2] for shape in shapes]
+        assert sum(widths) == 201
+        if paths > 1:
+            assert len(widths) > 1 and widths[-1] < widths[0]
+        expected = summarize_modes(run_paths(dist, x0, paths, 200, policy).diameter, 1e-3, 1.0)
+        for curve in ("prob_curve", "lp_curve", "mean_curve", "max_curve"):
+            got, want = getattr(report, curve), getattr(expected, curve)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert report.to_dict() == expected.to_dict()
 
 
 class _Uniforms:
@@ -392,11 +457,15 @@ class _Uniforms:
     def __init__(self, values):
         self._values = list(values)
 
-    def random(self, size=None):
-        if size is None:
+    def random(self, size=None, out=None):
+        if size is None and out is None:
             return self._values.pop(0)
-        block, self._values = self._values[:size], self._values[size:]
-        return np.array(block)
+        count = size if out is None else len(out)
+        block, self._values = self._values[:count], self._values[count:]
+        if out is None:
+            return np.array(block)
+        out[:] = block
+        return out
 
 
 def test_engine_pick_rule_on_boundaries_and_in_gap():
