@@ -7,9 +7,10 @@ Usage, from anywhere inside a git checkout:
 The parent is `--base`, extracted with `git archive` into a temporary
 directory; the change is this checkout's working tree.  The script writes a
 fixed set of seeded configs (a dirac, a finite mixture, the identity/swap
-mixture, a 3-atom finite mixture at n=5, `pairwise_gossip` at n=3 and
-n=10, `dirichlet_rows`, `lazy_permutation`, and three `lifted_pair`s of
-gossip at n=3 with the Dirichlet, the finite mixture and the dirac), then
+mixture, a 3-atom finite mixture at n=5, `pairwise_gossip` at n=3, n=10,
+n=32 and n=33, `dirichlet_rows`, `lazy_permutation`, and three
+`lifted_pair`s of gossip at n=3 with the Dirichlet, the finite mixture and
+the dirac), then
 runs the same CLI calls in both trees, each in a fresh interpreter and an
 empty working directory:
 `verdict`, `deterministic`, `simulate --format csv|json`, `modes`, `lift`,
@@ -20,7 +21,10 @@ of the CSV writer and of the engine's diagnostics, paths that reach exact
 consensus, and their final states), a one-path gossip `simulate` in both
 formats and a one-path `modes --p 3` on the Dirichlet (a run of one row),
 a 200-path, 201-step `modes` on the n=5 mixture (its last diagnostic chunk
-is shorter than the others), and error paths
+is shorter than the others), a 4-path, 7-step `simulate --format csv` on
+gossip at n=32 and at n=33 (the largest pair table that fits
+`core.BLOCK_BYTES`, drawn from once, and the blocks built and validated at
+every step above it), and error paths
 whose output is part of the contract (atom probabilities that do not sum to
 1, a blocked `--out`, which `verdict` meets after printing its result, a
 flag the command does not read, and a `modes` start whose disagreement norm
@@ -88,6 +92,8 @@ def configs(seed: int = 2024) -> dict[str, dict]:
         dists[f"lifted_pair_{part}"] = (6, _generator("lifted_pair", {
             "alpha": 0.3, "beta": 0.7, "dist_a": gossip3,
             "dist_b": {"n": 3, "distribution": dists[part][1]}}))
+    for n in (32, 33):  # the largest pair table that fits a block, and the built blocks above it
+        dists[f"gossip{n}"] = (n, _generator("pairwise_gossip", {"n": n}))
     return {
         name: {"n": n, "distribution": dist,
                "simulation": dict(SIMULATION, seed=int(rng.integers(2**63)))}
@@ -121,6 +127,9 @@ def calls(cfg: dict[str, str]) -> list[list[str]]:
         # diagnostic chunks of 16 steps at 200 paths and n=5: 202 steps end in a chunk of 10
         ["modes", "--config", cfg["finite5"], "--paths", "200", "--horizon", "201", "--out",
          "{out}"],
+        # both sides of the gossip support table's cap
+        *(["simulate", "--config", cfg[name], "--paths", "4", "--horizon", "7", "--format", "csv",
+           "--out", "{out}"] for name in ("gossip32", "gossip33")),
         ["simulate", "--config", cfg["gossip3"]],
         ["simulate", "--config", cfg["gossip3"], "--seed", "11", "--paths", "5", "--horizon",
          "10", "--eps", "0.01", "--p", "2", "--x0", "0.1,0.5,0.9", "--out", "{out}"],

@@ -180,28 +180,39 @@ class Moments:
 class Sampler:
     """All the program knows of a distribution, whatever its kind; built once per distribution.
 
-    ``moments()`` gives its closed-form :class:`Moments` and ``draw(rng)``
-    one raw n x n matrix.  A distribution whose draw is one integer choice
-    may also carry ``picks(rngs, count)``, the (len(rngs), count) choices
-    of count consecutive draws on each stream (same bits, same end state),
-    and ``from_picks(k, out)``, the (len(k), n, n) block of the matrices of
-    choices k, which may be the scratch block ``out`` it is given.
+    ``moments()`` gives its closed-form :class:`Moments`.  A distribution
+    whose draw is one integer choice carries ``picks(rngs, count)``, the
+    (len(rngs), count) choices of count consecutive draws on each stream
+    (same bits, same end state), and one of two ways to turn choices into
+    matrices:
+
+    - ``support()``, the validated, read-only (K, n, n) table of the
+      matrices the choices index, with ``pick(rng)``, the choice of one
+      draw: the bits and end state of ``picks([rng], 1)``.  Its entries are
+      never validated again; a generator builds one only where it fits
+      ``BLOCK_BYTES``.
+    - ``from_picks(k, out)``, the (len(k), n, n) block of the matrices of
+      choices k, which may be the scratch block ``out`` it is given; a
+      table would not fit, so every block is validated.
+
+    Every distribution without a support table has ``draw(rng)``, one raw
+    n x n matrix with the bits of one of its picks, if it has picks.
+
     ``atoms`` holds the (prob, matrix) pairs of a dirac or finite
-    distribution; such a record has picks, and its matrices, validated
-    already, are never validated again.  It also has ``pick(rng)``, the
-    choice of one draw: the bits and end state of ``picks([rng], 1)``.
+    distribution, whose support is its stacked atoms.
     """
 
     moments: Callable[[], Moments]
-    draw: Callable[[np.random.Generator], np.ndarray]
+    draw: Optional[Callable[[np.random.Generator], np.ndarray]] = None
     picks: Optional[Callable[[Sequence[np.random.Generator], int], np.ndarray]] = None
     from_picks: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    support: Optional[Callable[[], np.ndarray]] = None
     atoms: Optional[tuple[tuple[float, StochasticMatrix], ...]] = None
     pick: Optional[Callable[[np.random.Generator], int]] = None
 
 
-# name -> factory(params) returning (n, Sampler); every draw of a generator
-# is validated.
+# name -> factory(params) returning (n, Sampler); every support entry or
+# draw of a generator is validated.
 GeneratorFactory = Callable[[dict], tuple[int, Sampler]]
 
 
@@ -251,10 +262,14 @@ def _pairwise_gossip(params: dict):
 
     def from_picks(k: np.ndarray, out: np.ndarray) -> np.ndarray:
         first, second = pairs()
-        i, j, item = first[k], second[k], np.arange(len(k))
-        out[:] = np.eye(n)
-        out[item, i, i] = out[item, j, j] = out[item, i, j] = out[item, j, i] = 0.5
-        return out
+        return _pair_averages(first[k], second[k], out)
+
+    @functools.cache  # built on the first draw, as the pairs are
+    def support() -> np.ndarray:
+        table = _pair_averages(*pairs(), np.empty((pair_count, n, n)))
+        validate_block(table)
+        table.setflags(write=False)
+        return table
 
     def draw(rng: np.random.Generator) -> np.ndarray:
         k = rng.integers(pair_count)  # the bits of one of picks' draws
@@ -279,7 +294,18 @@ def _pairwise_gossip(params: dict):
 
         return Moments(np.eye(n) - (n * np.eye(n) - 1.0) / (2 * pair_count), second, True)
 
+    if pair_count * n * n * 8 <= BLOCK_BYTES:  # up to n = 32
+        return n, Sampler(exact_moments, picks=picks, support=support,
+                          pick=lambda rng: rng.integers(pair_count))  # one of picks' draws
     return n, Sampler(exact_moments, draw, picks, from_picks)
+
+
+def _pair_averages(i: np.ndarray, j: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, a (len(i), n, n) block, made the gossip matrices averaging coordinates i and j."""
+    item = np.arange(len(i))
+    out[:] = np.eye(out.shape[1])
+    out[item, i, i] = out[item, j, j] = out[item, i, j] = out[item, j, i] = 0.5
+    return out
 
 
 @_register("dirichlet_rows")
@@ -451,11 +477,11 @@ class MatrixDistribution:
     @staticmethod
     def dirac(matrix: StochasticMatrix) -> "MatrixDistribution":
         a, n = matrix.entries, matrix.n
+        table = a[None]  # read-only, as the validated matrix is
         sampler = Sampler(
             moments=lambda: Moments(a, lambda s: a @ s @ a.T, matrix.has_positive_diagonal()),
-            draw=lambda rng: a,
             picks=lambda rngs, count: np.broadcast_to(np.intp(0), (len(rngs), count)),  # no draw
-            from_picks=lambda k, out: np.broadcast_to(a, (len(k), n, n)),
+            support=lambda: table,
             atoms=((1.0, matrix),),
             pick=lambda rng: 0,  # no draw
         )
@@ -478,6 +504,7 @@ class MatrixDistribution:
             raise ConfigError(f"atoms have mixed dimensions {sorted(dims)}")
         atoms = tuple((float(p), m) for p, m in atoms)
         stack = np.stack([m.entries for _, m in atoms])
+        stack.setflags(write=False)  # the support table: validated atoms
 
         def pick(rng: np.random.Generator) -> int:
             return int(pick_atoms(probs, rng.random()))
@@ -494,9 +521,8 @@ class MatrixDistribution:
                 lambda s: sum(p * (m.entries @ s @ m.entries.T) for p, m in atoms),
                 all(m.has_positive_diagonal() for p, m in atoms if p > 0),
             ),
-            draw=lambda rng: stack[pick(rng)],
             picks=picks,
-            from_picks=lambda k, out: stack[k],
+            support=lambda: stack,
             atoms=atoms,
             pick=pick,
         )
@@ -557,11 +583,14 @@ def _generator_draw(dist: MatrixDistribution, rng: np.random.Generator) -> np.nd
 
 
 def sample(dist: MatrixDistribution, rng: np.random.Generator) -> StochasticMatrix:
-    """Draw one matrix: an atom as it is, any other draw validated."""
+    """Draw one matrix: an atom as it is, a support entry as a view, any other draw validated."""
     sampler = dist.sampler
+    if sampler.support is None:
+        return validate_matrix(_generator_draw(dist, rng))
+    k = sampler.pick(rng)
     if sampler.atoms is not None:
-        return sampler.atoms[sampler.pick(rng)][1]
-    return validate_matrix(_generator_draw(dist, rng))
+        return sampler.atoms[k][1]
+    return StochasticMatrix(entries=sampler.support()[k])
 
 
 # Cap on the bytes of one block of drawn n x n matrices: the engine draws,
@@ -584,18 +613,23 @@ def path_draws(
     state of one-at-a-time :func:`sample` calls.  A sampler's ``picks`` are
     drawn for the whole horizon up front; any other sampler draws at each
     call, so call for t = 1..horizon in order, each slice once.  A block
-    not made of atoms is validated, and the next call may overwrite it.
+    of a sampler with a support table is taken from the table, which was
+    validated once, when it was made; any other block is validated.  The
+    next call may overwrite a block.
     """
     sampler, n = dist.sampler, dist.n
+    support = None if sampler.support is None else sampler.support()
     picks = None if sampler.picks is None else sampler.picks(rngs, horizon)
-    buffer = np.empty((block_slices(len(rngs), n)[0].stop, n, n))  # untouched by atoms
+    if support is not None:
+        if len(support) == 1:  # every draw is the one entry: a broadcast, no copy
+            return lambda sl, t: np.broadcast_to(support[0], (sl.stop - sl.start, n, n))
+        return lambda sl, t: support.take(picks[sl, t - 1], axis=0)
+    buffer = np.empty((block_slices(len(rngs), n)[0].stop, n, n))
 
     def draws(sl: slice, t: int) -> np.ndarray:
         block = buffer[: sl.stop - sl.start]
         if picks is not None:
             block = sampler.from_picks(picks[sl, t - 1], block)
-            if sampler.atoms is not None:
-                return block  # validated already
         else:
             for j, rng in enumerate(rngs[sl]):
                 try:

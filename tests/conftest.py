@@ -13,6 +13,13 @@ def random_stochastic_matrix(rng, n):
     return validate_matrix(random_stochastic(rng, n))
 
 
+def raw_draw(sampler, rng):
+    """One writable n x n draw of a sampler: a copy of a support table entry, or its draw."""
+    if sampler.support is not None:
+        return sampler.support()[sampler.pick(rng)].copy()
+    return sampler.draw(rng)
+
+
 def finite_battery(seed=2718, count=20):
     """Finite-support distributions with strictly positive diagonals, n from 2 to 6.
 

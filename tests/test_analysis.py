@@ -375,8 +375,14 @@ class TestClosedFormMoments:
         for name, params in cases.items():
             n, sampler = core._GENERATORS[name](dict(params))
             assert isinstance(sampler, Sampler)
-            assert callable(sampler.moments) and callable(sampler.draw)
-            assert (sampler.picks is None) == (sampler.from_picks is None), name
+            assert callable(sampler.moments)
+            # picks turn into matrices through exactly one of a support table and from_picks;
+            # a table comes with the one-draw pick, and a sampler without one has a draw
+            ways = (sampler.support is not None) + (sampler.from_picks is not None)
+            assert ways == (sampler.picks is not None), name
+            assert (sampler.pick is None) == (sampler.support is None), name
+            assert (sampler.draw is None) == (sampler.support is not None), name
+            assert sampler.draw is None or callable(sampler.draw), name
             dist = MatrixDistribution.generator(name, params)
             assert moments(dist).mean.shape == (dist.n, dist.n) == (n, n)
 

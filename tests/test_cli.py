@@ -13,6 +13,8 @@ from consensuslab.cli import main
 from consensuslab.core import load_config
 from consensuslab.selfcheck import PROPERTIES, run_selfcheck
 
+from conftest import raw_draw
+
 GOSSIP_CONFIG = {
     "n": 3,
     "distribution": {"type": "generator", "name": "pairwise_gossip", "params": {"n": 3}},
@@ -166,6 +168,22 @@ class TestSimulateCommand:
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a dir")
         assert main(["simulate", "--config", gossip_config, "--out", str(blocker)]) == 4
+
+    def test_corrupted_support_table_exit_2_one_line(self, gossip_config, tmp_path, monkeypatch,
+                                                     capsys):
+        from consensuslab import core
+
+        build = core._pair_averages
+
+        def faulty(i, j, out):  # the last pair's matrix gets a row summing to 1.25
+            out = build(i, j, out)
+            out[-1, 2, 2] += 0.25
+            return out
+
+        monkeypatch.setattr(core, "_pair_averages", faulty)
+        assert main(["simulate", "--config", gossip_config, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "row 2 sums to 1.25, expected 1 within 1e-09" in err
 
 
 def _run_call(argv, out, capsys):
@@ -756,7 +774,7 @@ class TestSelfcheckCommand:
             n, sampler = gossip(params)
 
             def bad_draw(rng):
-                m = sampler.draw(rng).copy()
+                m = raw_draw(sampler, rng)
                 m[0, 0] += 0.5  # row sum bug
                 return m
 

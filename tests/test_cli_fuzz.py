@@ -8,6 +8,7 @@ refuses without allocating, so no call allocates much.
 import copy
 import json
 import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -120,6 +121,20 @@ def _run(argv, out, capsys):
             code = exc.code
     err = capsys.readouterr().err
     return code, err.count("\n") + len(caught), err
+
+
+def test_unsized_gossip_exits_2_with_no_table_allocated(tmp_path, capsys):
+    # n = 2^64: far above the support table's cap, and refused before any block is built
+    cfg = _write(tmp_path, "unsized", _unsized(BASES["gossip"]))
+    tracemalloc.start()
+    try:
+        for command in ("verdict", "simulate", "modes"):
+            code, lines, err = _run([command, "--config", cfg], tmp_path / command, capsys)
+            assert code == 2 and lines == 1, (command, err)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_mutated_configs_end_in_documented_exit_codes(tmp_path, capsys):

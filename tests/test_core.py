@@ -414,19 +414,62 @@ class TestCheckedNumbers:
             checked_number(float, "hold", raw, 0, 1)
 
 
-@pytest.mark.parametrize("n", [2, 3, 10, 200])
+@pytest.mark.parametrize("n", [2, 3, 10, 32, 33, 200])
 def test_gossip_picks_match_one_draw_at_a_time(n):
     # the engine's up-front picks: the bits of consecutive sample() calls,
     # and the bit generator's whole state after them (the 32-bit half that
-    # integers() buffers included)
+    # integers() buffers included); turned into matrices through the support
+    # table up to n = 32, through from_picks above it
     dist = MatrixDistribution.generator("pairwise_gossip", {"n": n})
+    sampler = dist.sampler
+    # n = 32 is the largest pair table that fits BLOCK_BYTES (4063232 bytes)
+    assert (sampler.support is not None) == (n <= 32) == (sampler.from_picks is None)
+    assert (sampler.pick is not None) == (n <= 32)
     picks_rng, loop_rng = np.random.default_rng(41), np.random.default_rng(41)
-    k = dist.sampler.picks([picks_rng], 257)[0]
-    out = dist.sampler.from_picks(k, np.full((257, n, n), np.nan))
-    expected = np.stack([sample(dist, loop_rng).entries for _ in range(257)])
-    assert np.array_equal(out, expected)
+    k = sampler.picks([picks_rng], 257)[0]
+    if sampler.support is not None:
+        out = sampler.support().take(k, axis=0)
+    else:
+        out = sampler.from_picks(k, np.full((257, n, n), np.nan))
+    sampled = [sample(dist, loop_rng) for _ in range(257)]
+    assert np.array_equal(out, np.stack([m.entries for m in sampled]))
+    if sampler.support is not None:  # sample returns the validated entry itself, read-only
+        assert all(np.shares_memory(m.entries, sampler.support()) for m in sampled)
+        assert not any(m.entries.flags.writeable for m in sampled)
     assert picks_rng.bit_generator.state == loop_rng.bit_generator.state
     assert picks_rng.integers(7, size=3).tolist() == loop_rng.integers(7, size=3).tolist()
+
+
+@pytest.mark.parametrize("n", [*range(2, 9), 32])
+def test_gossip_support_is_the_from_picks_block_of_every_pair(n):
+    # bit for bit the block the per-step build wrote for choices 0..K-1: the
+    # identity, then the four 0.5 entries of each pair
+    table = MatrixDistribution.generator("pairwise_gossip", {"n": n}).sampler.support()
+    first, second = np.triu_indices(n, 1)
+    item = np.arange(len(first))
+    want = np.full((len(first), n, n), np.nan)
+    want[:] = np.eye(n)
+    want[item, first, first] = want[item, second, second] = 0.5
+    want[item, first, second] = want[item, second, first] = 0.5
+    assert table.shape == want.shape and table.dtype == want.dtype
+    assert table.tobytes() == want.tobytes()
+    assert not table.flags.writeable
+    assert table.nbytes <= core.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("n, validated", [(3, 0), (32, 0), (33, 40)])
+def test_gossip_sample_validates_no_table_entry_again(n, validated, monkeypatch):
+    # a table entry was validated with its table; a built draw is validated as it is drawn
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": n})
+    if dist.sampler.support is not None:
+        dist.sampler.support()
+    calls = []
+    validate = core.validate_matrix
+    monkeypatch.setattr(core, "validate_matrix", lambda raw: calls.append(1) or validate(raw))
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        sample(dist, rng)
+    assert len(calls) == validated
 
 
 @pytest.mark.parametrize("probs", [None, (1.0,), (0.2, 0.3, 0.5), (0.1, 0.0, 0.9)],
@@ -505,6 +548,7 @@ def test_dirac_path_draws_allocate_no_picks_array():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert block.shape == (2000, 3, 3) and np.array_equal(block[-1], dist.matrix.entries)
+    assert block.strides[0] == 0  # a one-entry table is broadcast, not copied per step
     assert [rng.bit_generator.state for rng in streams[:3]] == states
 
 

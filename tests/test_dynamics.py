@@ -34,7 +34,7 @@ from consensuslab.dynamics import (
     write_path_csv,
 )
 
-from conftest import finite_battery, random_stochastic
+from conftest import finite_battery, random_stochastic, raw_draw
 
 
 class TestSimulatePath:
@@ -209,7 +209,7 @@ def _reference_paths(dist, x0, horizon, rngs):
                             break
                     a = dist.atoms[k][1].entries
                 else:
-                    a = validate_matrix(dist.sampler.draw(rng)).entries
+                    a = validate_matrix(raw_draw(dist.sampler, rng)).entries
                 x = a @ x
             d = x - x.mean()
             rows.append((x.max() - x.min(), np.abs(d).max(), np.linalg.norm(d)))
@@ -492,7 +492,7 @@ def _patch_gossip(monkeypatch, faults):
         count = itertools.count()
 
         def faulty(rng):
-            m = sampler.draw(rng)
+            m = raw_draw(sampler, rng)
             fault = faults.get(next(count))
             if fault is not None:
                 fault(m)
@@ -562,7 +562,8 @@ def test_wrong_shape_draw_rejected_not_broadcast(monkeypatch):
 
 
 def test_blocks_built_from_picks_are_validated():
-    dist = MatrixDistribution.generator("pairwise_gossip", {"n": 4})
+    # n = 33: the pair table would not fit BLOCK_BYTES, so each step's block is built
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": 33})
     from_picks = dist.sampler.from_picks
 
     def faulty(k, out):
@@ -572,6 +573,47 @@ def test_blocks_built_from_picks_are_validated():
 
     dist = dataclasses.replace(dist, sampler=dataclasses.replace(dist.sampler, from_picks=faulty))
     with pytest.raises(MatrixValidationError, match="row 2 sums to 1.25"):
+        run_paths(dist, np.linspace(0.0, 1.0, 33), 5, 3, RngPolicy(3))
+
+
+@pytest.mark.parametrize("n, per_run", [(3, [(3, 3, 3)]), (32, [(496, 32, 32)]),
+                                        (33, [(3, 33, 33)] * 4)])
+def test_gossip_validates_its_table_once_per_run(n, per_run, monkeypatch):
+    # up to n = 32 the one call validates the pair table, on the first run
+    # only; above, every step's block is validated
+    shapes = []
+    validate = core.validate_block
+
+    def spy(block):
+        shapes.append(block.shape)
+        validate(block)
+
+    monkeypatch.setattr(core, "validate_block", spy)
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": n})
+    first = run_paths(dist, np.linspace(0.0, 1.0, n), 3, 4, RngPolicy(5))
+    assert shapes == per_run
+    again = run_paths(dist, np.linspace(0.0, 1.0, n), 3, 4, RngPolicy(5))
+    assert len(shapes) == len(per_run) * (1 if n <= 32 else 2)
+    assert np.array_equal(first.diameter, again.diameter)
+
+
+def test_corrupted_gossip_table_is_refused_before_any_step(monkeypatch):
+    build = core._pair_averages
+
+    def faulty(i, j, out):
+        out = build(i, j, out)
+        out[-1, 2, 2] += 0.25
+        return out
+
+    monkeypatch.setattr(core, "_pair_averages", faulty)
+    dist = MatrixDistribution.generator("pairwise_gossip", {"n": 4})
+    streams = RngPolicy(3).path_streams(5)
+    states = [rng.bit_generator.state for rng in streams]
+    message = r"^row 2 sums to 1\.25, expected 1 within 1e-09$"
+    with pytest.raises(MatrixValidationError, match=message):
+        core.path_draws(dist, streams, 3)  # before the first draws(sl, t) call, and any pick
+    assert [rng.bit_generator.state for rng in streams] == states
+    with pytest.raises(MatrixValidationError, match=message):
         run_paths(dist, np.linspace(0.0, 1.0, 4), 5, 3, RngPolicy(3))
 
 
